@@ -74,30 +74,11 @@ pub fn run_contrast_lanes(
     Ok((produced, mae))
 }
 
-/// [`run_contrast`] with process-sharded row evaluation on the optical
-/// backend (see [`crate::gamma_app::apply_optical_sharded`]): the
-/// produced image is byte-identical to [`run_contrast_lanes`]' for
-/// every shard count.
-///
-/// # Errors
-///
-/// Propagates shard and backend failures.
-pub fn run_contrast_sharded(
-    image: &Image,
-    backend: &crate::backend::OpticalBackend,
-    coordinator: &osc_core::batch::shard::ShardCoordinator,
-) -> Result<(Image, f64), AppError> {
-    let reference = image.map(smoothstep);
-    let produced = crate::gamma_app::apply_optical_sharded(image, backend, coordinator)?;
-    let mae = produced.mae(&reference)?;
-    Ok((produced, mae))
-}
-
-/// [`run_contrast_sharded`] on a persistent
+/// [`run_contrast`] with process-sharded row evaluation on a
 /// [`osc_core::batch::shard::pool::WorkerPool`] (see
 /// [`crate::gamma_app::apply_optical_pooled`]): the produced image is
 /// byte-identical to [`run_contrast_lanes`]' for every worker count,
-/// but spawn + circuit construction are paid once per pool, not per
+/// and spawn + circuit construction are paid once per pool, not per
 /// call.
 ///
 /// # Errors

@@ -9,7 +9,7 @@ use crate::backend::{throughput_evals_per_second, OpticalBackend, PixelBackend};
 use crate::image::Image;
 use crate::AppError;
 use osc_core::batch::shard::pool::WorkerPool;
-use osc_core::batch::shard::{ShardCoordinator, SngKind};
+use osc_core::batch::shard::SngKind;
 use osc_core::batch::{evaluate_lane_block_faulted, lane_blocks, mix_seed, BatchEvaluator};
 use osc_core::fault::FaultSpec;
 use osc_core::system::EvalScratch;
@@ -104,8 +104,8 @@ pub fn apply_optical_lanes(
 /// each pixel's spec rebases by global row then column
 /// ([`FaultSpec::rebased`]), mirroring the generator derivation — so
 /// faulty output, like clean output, is identical across thread counts,
-/// lane decompositions, SIMD tiers and (via the sharded/pooled
-/// variants) shard counts.
+/// lane decompositions, SIMD tiers and (via the pooled variants)
+/// worker counts.
 ///
 /// # Errors
 ///
@@ -156,69 +156,21 @@ pub fn apply_optical_lanes_faulted(
 }
 
 /// Applies the optical backend's polynomial to every pixel with **three
-/// levels of parallelism**: image rows shard across worker
-/// *subprocesses* (a [`ShardCoordinator`] running the
-/// [`osc_core::batch::shard`] wire protocol), rows fan across each
-/// worker's threads, and within a row pixels run through the
-/// lane-blocked fused kernel — the scale-out form of the paper's
-/// Section V.C lane bank.
+/// levels of parallelism**: image rows shard across the worker
+/// *subprocesses* of a [`WorkerPool`] (the [`osc_core::batch::shard`]
+/// wire protocol), rows fan across each worker's threads, and within a
+/// row pixels run through the lane-blocked fused kernel — the scale-out
+/// form of the paper's Section V.C lane bank.
 ///
 /// The per-pixel generator universes are exactly
 /// [`apply_optical_lanes`]' (`mix_seed(mix_seed(backend seed, row),
 /// column)` with Xoshiro sources), and every worker evaluates its rows
 /// with their *global* row indices, so the output is **byte-identical**
-/// to [`apply_optical_lanes`] — and therefore identical for every shard
-/// count — not merely statistically equivalent.
-///
-/// # Errors
-///
-/// Propagates shard failures ([`AppError::Shard`]: spawn failures, dead
-/// workers after retries, protocol violations) and evaluation errors
-/// reported by workers.
-pub fn apply_optical_sharded(
-    image: &Image,
-    backend: &OpticalBackend,
-    coordinator: &ShardCoordinator,
-) -> Result<Image, AppError> {
-    apply_optical_sharded_faulted(image, backend, coordinator, None)
-}
-
-/// [`apply_optical_sharded`] under an optional fault process — workers
-/// rebase the spec per pixel by global row then column, so faulty
-/// sharded output is byte-identical to
-/// [`apply_optical_lanes_faulted`]'s for every shard count.
-///
-/// # Errors
-///
-/// As [`apply_optical_sharded`].
-pub fn apply_optical_sharded_faulted(
-    image: &Image,
-    backend: &OpticalBackend,
-    coordinator: &ShardCoordinator,
-    faults: Option<&FaultSpec>,
-) -> Result<Image, AppError> {
-    let runs = coordinator.image_rows_faulted(
-        backend.system(),
-        SngKind::Xoshiro,
-        image.width(),
-        image.pixels(),
-        backend.stream_length(),
-        backend.seed(),
-        faults,
-    )?;
-    Image::new(
-        image.width(),
-        image.height(),
-        runs.iter().map(|r| r.estimate.clamp(0.0, 1.0)).collect(),
-    )
-}
-
-/// [`apply_optical_sharded`] on a persistent [`WorkerPool`]: identical
-/// row sharding, per-pixel universes and output bytes, but the worker
-/// processes (and their cached circuits) survive across calls — the
-/// right shape for a stream of small images, where per-call spawn +
-/// circuit rebuild dominates ([`ShardCoordinator`] pays both every
-/// call).
+/// to [`apply_optical_lanes`] — and therefore identical for every
+/// worker count — not merely statistically equivalent. Held across
+/// calls, the pool keeps its processes and cached circuits alive; a
+/// pool spawned for one call and dropped is the spawn-per-call
+/// baseline.
 ///
 /// # Errors
 ///
@@ -234,8 +186,8 @@ pub fn apply_optical_pooled(
 }
 
 /// [`apply_optical_pooled`] under an optional fault process —
-/// byte-identical to [`apply_optical_lanes_faulted`] and
-/// [`apply_optical_sharded_faulted`] for every worker count.
+/// byte-identical to [`apply_optical_lanes_faulted`] for every worker
+/// count.
 ///
 /// # Errors
 ///
@@ -246,7 +198,7 @@ pub fn apply_optical_pooled_faulted(
     pool: &mut WorkerPool,
     faults: Option<&FaultSpec>,
 ) -> Result<Image, AppError> {
-    let runs = pool.image_rows_faulted(
+    let runs = pool.image_rows(
         backend.system(),
         SngKind::Xoshiro,
         image.width(),
@@ -324,33 +276,10 @@ pub fn run_gamma_lanes(
     })
 }
 
-/// [`run_gamma`] with process-sharded row evaluation (see
-/// [`apply_optical_sharded`]): the report's quality numbers are computed
-/// from an image byte-identical to [`run_gamma_lanes`]' for every shard
-/// count.
-///
-/// # Errors
-///
-/// Propagates shard and backend failures.
-pub fn run_gamma_sharded(
-    image: &Image,
-    backend: &OpticalBackend,
-    coordinator: &ShardCoordinator,
-) -> Result<GammaRunReport, AppError> {
-    let reference = image.map(|p| gamma_exact(p, DISPLAY_GAMMA));
-    let produced = apply_optical_sharded(image, backend, coordinator)?;
-    Ok(GammaRunReport {
-        backend: backend.name().to_string(),
-        psnr_db: produced.psnr_db(&reference)?,
-        mae: produced.mae(&reference)?,
-        evals_per_second: throughput_evals_per_second(backend),
-    })
-}
-
-/// [`run_gamma_sharded`] on a persistent [`WorkerPool`] (see
-/// [`apply_optical_pooled`]): the report's quality numbers are computed
-/// from an image byte-identical to [`run_gamma_lanes`]' for every
-/// worker count.
+/// [`run_gamma`] with process-sharded row evaluation on a [`WorkerPool`]
+/// (see [`apply_optical_pooled`]): the report's quality numbers are
+/// computed from an image byte-identical to [`run_gamma_lanes`]' for
+/// every worker count.
 ///
 /// # Errors
 ///
@@ -491,18 +420,22 @@ mod tests {
     }
 
     #[test]
-    fn sharded_apply_surfaces_missing_worker_as_value() {
-        use osc_core::params::CircuitParams;
-        // A coordinator pointed at a binary that does not exist must
-        // fail with a clean AppError::Shard, never a panic. The
-        // byte-identity of a *working* sharded run against the lanes
-        // pipeline is pinned by the osc-bench integration suite, which
-        // owns the worker binary.
-        let img = Image::gradient(8, 4);
-        let poly = osc_stochastic::bernstein::BernsteinPoly::new(vec![0.25, 0.625, 0.75]).unwrap();
-        let backend = OpticalBackend::new(CircuitParams::paper_fig5(), poly, 64, 5).unwrap();
-        let coordinator = ShardCoordinator::new("/nonexistent/shard_worker_binary", 2);
-        let err = apply_optical_sharded(&img, &backend, &coordinator).unwrap_err();
+    fn pooled_apply_surfaces_missing_worker_as_value() {
+        // A pool pointed at a binary that does not exist must fail with
+        // a clean AppError::Shard, never a panic. The byte-identity of a
+        // *working* pooled run against the lanes pipeline is pinned by
+        // the osc-bench integration suite, which owns the worker binary.
+        let pooled = || -> Result<Image, AppError> {
+            let mut pool =
+                osc_core::batch::shard::pool::PoolConfig::new("/nonexistent/shard_worker", 2)
+                    .spawn()?;
+            let poly = paper_gamma_polynomial()?;
+            let params =
+                osc_core::params::CircuitParams::paper_fig7(6, osc_units::Nanometers::new(0.165));
+            let backend = OpticalBackend::new(params, poly, 64, 5)?;
+            apply_optical_pooled(&Image::gradient(8, 4), &backend, &mut pool)
+        };
+        let err = pooled().unwrap_err();
         assert!(
             matches!(err, crate::AppError::Shard(_)),
             "expected a shard error, got {err:?}"

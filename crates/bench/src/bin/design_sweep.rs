@@ -22,8 +22,9 @@
 //!   knob);
 //! - `--workers 0`: in-process, through the same SNG dispatch point
 //!   the workers run;
-//! - `--spawn-per-request`: a fresh single-shard coordinator per
-//!   candidate — the per-request-spawn baseline the pool amortizes;
+//! - `--spawn-per-request`: a fresh `N`-worker pool spawned per
+//!   candidate and dropped after it — the per-request-spawn baseline
+//!   the persistent pool amortizes;
 //! - `--service HOST:PORT`: one TCP connection to a running
 //!   `osc_service` front door, one request per candidate.
 //!
@@ -38,9 +39,9 @@
 
 use osc_bench::sweep::{axes_for, summary_line};
 use osc_core::backend::BackendKind;
+use osc_core::batch::shard::locate_worker;
 use osc_core::batch::shard::pool::PoolConfig;
 use osc_core::batch::shard::service::ServiceClient;
-use osc_core::batch::shard::{locate_worker, ShardCoordinator};
 use osc_core::batch::BatchEvaluator;
 use osc_core::design::sweep::{frontier_csv, pareto_frontier, DesignSweep, SweepMode};
 use std::time::Instant;
@@ -155,9 +156,8 @@ fn main() {
             .unwrap_or_else(|e| fail(&format!("in-process sweep: {e}")));
         (points, "in-process".to_string())
     } else if spawn_per_request {
-        let coordinator = ShardCoordinator::new(worker(), workers);
         let points = sweep
-            .evaluate(SweepMode::Spawn(&coordinator))
+            .evaluate(SweepMode::Spawn(&PoolConfig::new(worker(), workers)))
             .unwrap_or_else(|e| fail(&format!("spawn-per-request sweep: {e}")));
         (points, format!("spawn-per-request({workers})"))
     } else {

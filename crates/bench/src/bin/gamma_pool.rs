@@ -1,4 +1,5 @@
-//! Persistent-pool soak demo — the CI `pool-soak` entry point.
+//! Persistent-pool soak demo — the CI `shard-smoke`, `pool-soak`,
+//! `service-soak`, `backend-matrix` and `fault-soak` entry point.
 //!
 //! ```text
 //! gamma_pool [--workers N] [--requests R] [--spawn-per-request]
@@ -17,8 +18,9 @@
 //!   [`PoolConfig`]-spawned pool, circuits cached worker-side — spawn +
 //!   build paid once for the whole stream;
 //! - `--workers 0`: the unsharded in-process row+lane pipeline;
-//! - `--spawn-per-request`: a fresh `N`-shard `ShardCoordinator` run
-//!   per request — the per-request-spawn baseline the pool amortizes;
+//! - `--spawn-per-request`: a fresh `N`-worker pool spawned from the
+//!   same [`PoolConfig`] for every request and dropped after it — the
+//!   per-request-spawn baseline the persistent pool amortizes;
 //! - `--service ADDR`: the multi-client load generator against a
 //!   running `osc_service` front door at `ADDR` — `--connections N`
 //!   (default 3) concurrent TCP connections share the schedule, and
@@ -28,9 +30,9 @@
 //!
 //! The determinism contract makes the output bytes **identical across
 //! all modes and worker counts**, so CI `cmp`s them directly; the
-//! timing lines are the amortization story. `gamma_sharded --requests`
-//! drives the same schedule, so both binaries are interchangeable
-//! entry points for local repros.
+//! timing lines are the amortization story. `--requests 1 --size 64x64
+//! --stream 512` is the single-frame sharded-determinism smoke: one
+//! 64×64 gamma frame at 512 bits, compared across 0, 1 and 3 workers.
 //!
 //! `--backend NAME` (`mrr-mzi`, the default, or `nanocavity`) selects
 //! the transmission physics behind every request's circuit — the CI
@@ -44,8 +46,8 @@
 
 use osc_bench::soak::{self, LoadConfig, SoakConfig, SoakMode};
 use osc_core::backend::BackendKind;
+use osc_core::batch::shard::locate_worker;
 use osc_core::batch::shard::pool::PoolConfig;
-use osc_core::batch::shard::{locate_worker, ShardCoordinator};
 use osc_core::fault::FaultSpec;
 
 fn fail(msg: &str) -> ! {
@@ -174,8 +176,7 @@ fn main() {
             .unwrap_or_else(|e| fail(&format!("in-process soak: {e}")));
         (report, "in-process".to_string())
     } else if spawn_per_request {
-        let coordinator = ShardCoordinator::new(worker(), workers);
-        let report = soak::run(&cfg, SoakMode::Spawn(&coordinator))
+        let report = soak::run(&cfg, SoakMode::Spawn(&PoolConfig::new(worker(), workers)))
             .unwrap_or_else(|e| fail(&format!("spawn-per-request soak: {e}")));
         (report, format!("spawn-per-request({workers})"))
     } else {

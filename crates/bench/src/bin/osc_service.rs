@@ -7,7 +7,8 @@
 //! ```
 //!
 //! Binds a [`Service`] on `HOST:P` (`--port 0`, the default, picks an
-//! ephemeral port), spawns an `N`-worker [`PoolDispatcher`] behind it
+//! ephemeral port), spawns an `N`-worker
+//! [`PoolDispatcher`](osc_core::batch::shard::pool::PoolDispatcher) behind it
 //! (depth-`D` pipelining per worker, `Q` queued requests of
 //! backpressure), and prints one parseable readiness line to stdout:
 //!

@@ -4,22 +4,28 @@
 //! shard_worker            # serve the wire protocol over stdin/stdout
 //! ```
 //!
-//! Speaks the framed binary protocol documented in
-//! [`osc_core::batch::shard`] — both versions: one-shot v1 requests and
-//! the v2 pool protocol (request IDs, cached-circuit references; the
-//! last few built circuits persist across requests in an LRU cache, so
-//! a pool's repeat requests skip the rebuild). Reads request frames
-//! from stdin until EOF, answering each with one response frame on
-//! stdout in the version it arrived in. Every expressible failure —
-//! malformed frames, unknown protocol versions, invalid configurations,
-//! evaluation errors, caught panics — is reported *as an error
-//! response*, so a coordinator never sees this process abort on bad
-//! input; a non-zero exit happens only when the transport itself dies
-//! (truncated frame, oversized length prefix, vanished pipe).
+//! Speaks the framed v2/v3 binary protocol documented in
+//! [`osc_core::batch::shard`]: request IDs, cached-circuit references
+//! (the last few built circuits persist across requests in an LRU
+//! cache, so a pool's repeat requests skip the rebuild) and, on v3, a
+//! fault spec. Reads request frames from stdin until EOF, answering
+//! each with one v2 response frame on stdout. Every expressible failure
+//! — malformed frames, invalid configurations, evaluation errors,
+//! caught panics — is reported *as an error response*, and a frame
+//! outside the v2/v3 family (bad magic, version 1, an unknown version)
+//! is refused with an error under request ID 0, so the pool never sees
+//! this process abort on bad input; a non-zero exit happens only when
+//! the transport itself dies (truncated frame, oversized length prefix,
+//! vanished pipe).
 //!
-//! The in-process thread count follows `OSC_THREADS` (the coordinator
-//! exports it when pinned via `ShardCoordinator::with_worker_threads`
-//! or `PoolConfig::with_worker_threads`).
+//! Environment:
+//!
+//! - `OSC_THREADS` — in-process thread count (the pool exports it when
+//!   pinned via `PoolConfig::with_worker_threads`);
+//! - `OSC_CIRCUIT_CACHE` — circuit-cache capacity, a positive integer
+//!   (default 8; anything else falls back to the default);
+//! - `OSC_SERVE_DELAY_MS` — a test hook delaying every answer by that
+//!   many milliseconds (unset, zero or unparsable means no delay).
 
 use std::io::{BufReader, BufWriter};
 

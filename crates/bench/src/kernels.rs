@@ -13,8 +13,8 @@
 
 use crate::microbench::Harness;
 use osc_core::backend::BackendKind;
+use osc_core::batch::shard::locate_worker;
 use osc_core::batch::shard::pool::PoolConfig;
-use osc_core::batch::shard::{locate_worker, ShardCoordinator};
 use osc_core::batch::BatchEvaluator;
 use osc_core::params::CircuitParams;
 use osc_core::system::{EvalScratch, OpticalScSystem};
@@ -433,7 +433,7 @@ pub fn run(budget_ms: u64) -> KernelsReport {
         let backend_s2 = osc_apps::backend::OpticalBackend::new(params, poly_s, stream_s, 13)
             .expect("6th-order circuit builds");
         let one_thread = BatchEvaluator::with_threads(1);
-        let coordinator = ShardCoordinator::new(&worker, 3);
+        let spawn_config = PoolConfig::new(&worker, 3);
         comparisons.push(compare(
             &mut harness,
             "gamma_64x64_order6_sharded",
@@ -445,7 +445,8 @@ pub fn run(budget_ms: u64) -> KernelsReport {
                     .sum()
             },
             move || {
-                osc_apps::gamma_app::apply_optical_sharded(&image_s2, &backend_s2, &coordinator)
+                let mut pool = spawn_config.clone().spawn().expect("pool spawns");
+                osc_apps::gamma_app::apply_optical_pooled(&image_s2, &backend_s2, &mut pool)
                     .unwrap()
                     .pixels()
                     .iter()
@@ -454,8 +455,8 @@ pub fn run(budget_ms: u64) -> KernelsReport {
         ));
 
         // Pool amortization on the image workload: the same 64×64
-        // order-6 gamma image (stream 512), a fresh 3-worker coordinator
-        // spawn per request (baseline — what gamma_64x64_order6_sharded
+        // order-6 gamma image (stream 512), a fresh 3-worker pool
+        // spawned per request (baseline — what gamma_64x64_order6_sharded
         // pays every call) against a persistent 3-worker pool whose
         // processes and cached circuit survive across requests
         // (optimized). Both sides produce byte-identical images; the
@@ -468,13 +469,14 @@ pub fn run(budget_ms: u64) -> KernelsReport {
             .expect("6th-order circuit builds");
         let backend_q2 = osc_apps::backend::OpticalBackend::new(params, poly_q, stream, 13)
             .expect("6th-order circuit builds");
-        let spawn_coordinator = ShardCoordinator::new(&worker, 3);
+        let spawn_config_q = PoolConfig::new(&worker, 3);
         let mut warm_pool = PoolConfig::new(&worker, 3).spawn().expect("pool spawns");
         comparisons.push(compare(
             &mut harness,
             "gamma_64x64_order6_pooled",
             move || {
-                osc_apps::gamma_app::apply_optical_sharded(&image_q, &backend_q, &spawn_coordinator)
+                let mut pool = spawn_config_q.clone().spawn().expect("pool spawns");
+                osc_apps::gamma_app::apply_optical_pooled(&image_q, &backend_q, &mut pool)
                     .unwrap()
                     .pixels()
                     .iter()
@@ -491,7 +493,7 @@ pub fn run(budget_ms: u64) -> KernelsReport {
 
         // The serving acceptance workload: the shared soak schedule —
         // 16 tiny (4×4) alternating gamma/contrast requests at 1024-bit
-        // streams — per-request coordinator spawning (baseline) against
+        // streams — per-request pool spawning (baseline) against
         // a persistent 3-worker pool with warm circuit caches
         // (optimized). This is the many-small-requests regime the
         // ROADMAP's service story lives in: the baseline pays 3 spawns
@@ -504,7 +506,7 @@ pub fn run(budget_ms: u64) -> KernelsReport {
             stream: 1024,
             ..Default::default()
         };
-        let soak_spawn = ShardCoordinator::new(&worker, 3);
+        let soak_spawn = PoolConfig::new(&worker, 3);
         let mut soak_pool = PoolConfig::new(&worker, 3).spawn().expect("pool spawns");
         comparisons.push(compare(
             &mut harness,
@@ -524,14 +526,14 @@ pub fn run(budget_ms: u64) -> KernelsReport {
         ));
 
         // The service-soak trajectory workload: the same small-request
-        // schedule, per-request coordinator spawning (baseline) against
+        // schedule, per-request pool spawning (baseline) against
         // the persistent TCP front door driven by the 3-connection
         // closed-loop load generator (optimized). On top of the pool's
         // amortization the optimized side pays wire framing and
         // connection scheduling and *still* wins — that margin is the
         // serving overhead budget the trajectory pins PR-over-PR.
         let svc_cfg = soak_cfg;
-        let svc_spawn = ShardCoordinator::new(&worker, 3);
+        let svc_spawn = PoolConfig::new(&worker, 3);
         let svc_dispatcher = PoolConfig::new(&worker, 3)
             .spawn_dispatcher()
             .expect("dispatcher spawns");
@@ -561,7 +563,7 @@ pub fn run(budget_ms: u64) -> KernelsReport {
         // every candidate its own parameter set) — the many-distinct-
         // circuits stress profile the soak schedule's two-circuit
         // repeat cannot produce. Baseline: spawn-per-request, a fresh
-        // single-shard coordinator call per candidate (1024 process
+        // single-worker pool per candidate (1024 process
         // spawns + circuit builds per pass). Optimized: one persistent
         // 3-worker pool whose circuit cache is sized to the whole
         // working set, all candidates streaming through one pipelined
@@ -573,7 +575,7 @@ pub fn run(budget_ms: u64) -> KernelsReport {
             crate::sweep::order_grid_axes(),
         ));
         let grid_sweep2 = grid_sweep.clone();
-        let sweep_spawn = ShardCoordinator::new(&worker, 1);
+        let sweep_spawn = PoolConfig::new(&worker, 1);
         let mut sweep_pool = PoolConfig::new(&worker, 3)
             .with_circuit_cache_capacity(grid_sweep.designs().len())
             .spawn()

@@ -2,10 +2,10 @@
 //! requests, runnable through any serving mode.
 //!
 //! This is the one request schedule the CI `pool-soak` job, the
-//! `gamma_pool` / `gamma_sharded` demo binaries and the
-//! `pool_small_requests_1024` trajectory workload all drive, so "pooled
-//! ≡ sharded ≡ unsharded" is checked (and timed) on **identical
-//! bytes** everywhere. Request `r` evaluates one small
+//! `gamma_pool` demo binary and the `pool_small_requests_1024`
+//! trajectory workload all drive, so "pooled ≡ spawn-per-request ≡
+//! unsharded" is checked (and timed) on **identical bytes**
+//! everywhere. Request `r` evaluates one small
 //! [`Image::blobs`] frame through the paper's order-6 gamma circuit
 //! when `r` is even and the order-3 smoothstep contrast circuit when
 //! `r` is odd, with a per-request backend seed — the alternating
@@ -25,9 +25,9 @@ use osc_apps::gamma_app::{self, paper_gamma_polynomial};
 use osc_apps::image::Image;
 use osc_apps::AppError;
 use osc_core::backend::BackendKind;
-use osc_core::batch::shard::pool::WorkerPool;
+use osc_core::batch::shard::pool::{PoolConfig, WorkerPool};
 use osc_core::batch::shard::service::ServiceClient;
-use osc_core::batch::shard::{ShardCoordinator, ShardRequest, SngKind};
+use osc_core::batch::shard::{ShardRequest, SngKind};
 use osc_core::batch::BatchEvaluator;
 use osc_core::fault::FaultSpec;
 use osc_core::params::CircuitParams;
@@ -79,9 +79,10 @@ pub enum SoakMode<'a> {
     InProcess,
     /// A persistent [`WorkerPool`]: spawn + circuit build paid once.
     Pool(&'a mut WorkerPool),
-    /// A [`ShardCoordinator`] per request: spawn + circuit build paid
-    /// on **every** request — the baseline the pool amortizes.
-    Spawn(&'a ShardCoordinator),
+    /// A fresh [`WorkerPool`] spawned from the config per request and
+    /// dropped after it: spawn + circuit build paid on **every**
+    /// request — the baseline the persistent pool amortizes.
+    Spawn(&'a PoolConfig),
     /// One [`ServiceClient`] connection to a running `osc_service`
     /// front door: each request crosses the TCP framing once as a
     /// whole-image job. For the multi-connection load generator see
@@ -238,10 +239,10 @@ pub fn run(cfg: &SoakConfig, mut mode: SoakMode<'_>) -> Result<SoakReport, AppEr
             SoakMode::Pool(pool) => {
                 gamma_app::apply_optical_pooled_faulted(&image, &backend, pool, cfg.fault.as_ref())?
             }
-            SoakMode::Spawn(coordinator) => gamma_app::apply_optical_sharded_faulted(
+            SoakMode::Spawn(config) => gamma_app::apply_optical_pooled_faulted(
                 &image,
                 &backend,
-                coordinator,
+                &mut config.clone().spawn()?,
                 cfg.fault.as_ref(),
             )?,
             SoakMode::Service(client) => {

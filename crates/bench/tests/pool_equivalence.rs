@@ -3,7 +3,9 @@
 //! **byte for byte** — across worker counts, repeat requests (the
 //! warm circuit-cache path), forced cache misses, mid-stream worker
 //! kills and fatal errors — and every failure must surface as a
-//! [`ShardError`] value with the pool still usable afterwards.
+//! [`ShardError`] value with the pool still usable afterwards. Pools
+//! spawned for a single call (the spawn-per-request baseline) are
+//! pinned in `shard_equivalence.rs`.
 //!
 //! This suite owns the worker binary via `CARGO_BIN_EXE_shard_worker`;
 //! the in-memory v2 protocol properties live in
@@ -20,7 +22,7 @@ use osc_apps::image::Image;
 use osc_bench::soak::{self, SoakConfig, SoakMode};
 use osc_core::backend::BackendKind;
 use osc_core::batch::shard::pool::PoolConfig;
-use osc_core::batch::shard::{ShardCoordinator, ShardError, SngKind};
+use osc_core::batch::shard::{ShardError, SngKind};
 use osc_core::batch::BatchEvaluator;
 use osc_core::fault::FaultSpec;
 use osc_core::params::CircuitParams;
@@ -81,7 +83,9 @@ fn pooled_batches_match_single_process_for_all_sngs_and_worker_counts() {
             // circuit inline, the second rides the cached reference —
             // both must be byte-identical to the reference.
             for round in 0..2 {
-                let pooled = pool.evaluate_many(&system, kind, &xs, 128, 7).unwrap();
+                let pooled = pool
+                    .evaluate_many(&system, kind, &xs, 128, 7, None)
+                    .unwrap();
                 assert_eq!(
                     pooled,
                     reference,
@@ -152,8 +156,7 @@ fn soak_modes_produce_identical_bytes() {
     let in_process = soak::run(&cfg, SoakMode::InProcess).unwrap();
     let mut pool = PoolConfig::new(WORKER, 3).spawn().unwrap();
     let pooled = soak::run(&cfg, SoakMode::Pool(&mut pool)).unwrap();
-    let coordinator = ShardCoordinator::new(WORKER, 3);
-    let spawned = soak::run(&cfg, SoakMode::Spawn(&coordinator)).unwrap();
+    let spawned = soak::run(&cfg, SoakMode::Spawn(&PoolConfig::new(WORKER, 3))).unwrap();
     assert_eq!(pooled.bytes, in_process.bytes, "pool ≡ in-process");
     assert_eq!(spawned.bytes, in_process.bytes, "spawn ≡ in-process");
 }
@@ -187,8 +190,7 @@ fn faulted_soak_modes_produce_identical_bytes_across_worker_counts() {
             pooled.bytes, in_process.bytes,
             "faulted pool({workers}) ≡ in-process"
         );
-        let coordinator = ShardCoordinator::new(WORKER, workers);
-        let spawned = soak::run(&cfg, SoakMode::Spawn(&coordinator)).unwrap();
+        let spawned = soak::run(&cfg, SoakMode::Spawn(&PoolConfig::new(WORKER, workers))).unwrap();
         assert_eq!(
             spawned.bytes, in_process.bytes,
             "faulted spawn({workers}) ≡ in-process"
@@ -203,7 +205,7 @@ fn killed_worker_mid_stream_is_respawned_with_identical_results() {
     let reference = reference_runs(&system, SngKind::Xoshiro, &xs, 128, 3);
     let mut pool = PoolConfig::new(WORKER, 2).spawn().unwrap();
     let before = pool
-        .evaluate_many(&system, SngKind::Xoshiro, &xs, 128, 3)
+        .evaluate_many(&system, SngKind::Xoshiro, &xs, 128, 3, None)
         .unwrap();
     assert_eq!(before, reference);
     // Kill one worker out from under the pool, mid-stream.
@@ -218,7 +220,7 @@ fn killed_worker_mid_stream_is_respawned_with_identical_results() {
     // still produces the exact reference bytes (the respawned worker's
     // cold cache forces the inline path — also byte-identical).
     let after = pool
-        .evaluate_many(&system, SngKind::Xoshiro, &xs, 128, 3)
+        .evaluate_many(&system, SngKind::Xoshiro, &xs, 128, 3, None)
         .unwrap();
     assert_eq!(after, reference, "recovery must not change results");
     let new_pids = pool.worker_pids();
@@ -237,13 +239,13 @@ fn forced_cache_miss_falls_back_to_inline_transparently() {
     let mut pool = PoolConfig::new(WORKER, 1).spawn().unwrap();
     pool.assume_cached(system.params(), system.polynomial().coeffs());
     let pooled = pool
-        .evaluate_many(&system, SngKind::Xoshiro, &xs, 96, 11)
+        .evaluate_many(&system, SngKind::Xoshiro, &xs, 96, 11, None)
         .unwrap();
     assert_eq!(pooled, reference, "cache-miss fallback must be invisible");
     // And the digest is now genuinely cached: the repeat request rides
     // the reference path for real.
     let again = pool
-        .evaluate_many(&system, SngKind::Xoshiro, &xs, 96, 11)
+        .evaluate_many(&system, SngKind::Xoshiro, &xs, 96, 11, None)
         .unwrap();
     assert_eq!(again, reference);
 }
@@ -268,8 +270,7 @@ fn nanocavity_soak_modes_produce_identical_bytes() {
     let in_process = soak::run(&cfg, SoakMode::InProcess).unwrap();
     let mut pool = PoolConfig::new(WORKER, 2).spawn().unwrap();
     let pooled = soak::run(&cfg, SoakMode::Pool(&mut pool)).unwrap();
-    let coordinator = ShardCoordinator::new(WORKER, 2);
-    let spawned = soak::run(&cfg, SoakMode::Spawn(&coordinator)).unwrap();
+    let spawned = soak::run(&cfg, SoakMode::Spawn(&PoolConfig::new(WORKER, 2))).unwrap();
     assert_eq!(
         pooled.bytes, in_process.bytes,
         "nanocavity pool ≡ in-process"
@@ -344,7 +345,7 @@ fn fatal_errors_are_values_and_the_pool_survives_them() {
     // A deterministic rejection (out-of-range input) is a Remote error,
     // not a retry loop...
     let err = pool
-        .evaluate_many(&system, SngKind::Xoshiro, &[0.5, 1.5], 64, 1)
+        .evaluate_many(&system, SngKind::Xoshiro, &[0.5, 1.5], 64, 1, None)
         .unwrap_err();
     match err {
         ShardError::Remote { detail, .. } => assert!(detail.contains("outside"), "{detail}"),
@@ -354,7 +355,7 @@ fn fatal_errors_are_values_and_the_pool_survives_them() {
     let xs = [0.25, 0.5, 0.75];
     let reference = reference_runs(&system, SngKind::Xoshiro, &xs, 64, 1);
     let recovered = pool
-        .evaluate_many(&system, SngKind::Xoshiro, &xs, 64, 1)
+        .evaluate_many(&system, SngKind::Xoshiro, &xs, 64, 1, None)
         .unwrap();
     assert_eq!(recovered, reference);
 }
@@ -370,7 +371,7 @@ fn garbage_speaking_worker_fails_as_a_value() {
         .spawn()
         .unwrap();
     let err = pool
-        .evaluate_many(&system, SngKind::Xoshiro, &[0.5], 64, 1)
+        .evaluate_many(&system, SngKind::Xoshiro, &[0.5], 64, 1, None)
         .unwrap_err();
     assert!(matches!(err, ShardError::Worker { .. }), "{err}");
 }
@@ -385,10 +386,10 @@ fn pool_thread_pinning_does_not_change_results() {
         .unwrap();
     let mut free = PoolConfig::new(WORKER, 2).spawn().unwrap();
     let a = pinned
-        .evaluate_many(&system, SngKind::Chaotic, &xs, 256, 11)
+        .evaluate_many(&system, SngKind::Chaotic, &xs, 256, 11, None)
         .unwrap();
     let b = free
-        .evaluate_many(&system, SngKind::Chaotic, &xs, 256, 11)
+        .evaluate_many(&system, SngKind::Chaotic, &xs, 256, 11, None)
         .unwrap();
     assert_eq!(a, b, "OSC_THREADS pinning must be unobservable");
 }

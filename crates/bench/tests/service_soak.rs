@@ -329,3 +329,71 @@ fn a_genuinely_stalled_head_still_times_out() {
         "expected a timeout value, got: {err}"
     );
 }
+
+#[test]
+fn refused_frames_get_id_zero_errors_and_the_connection_stays_up() {
+    use osc_core::batch::shard::{
+        decode_response_v2, encode_request_v2, encode_response_v2, evaluate_batch_in_process,
+        read_frame, write_frame, ShardResponseV2,
+    };
+    use std::io::Write;
+    // Frames outside the v2/v3 family — the retired version 1, a bad
+    // magic and version 9 — each get a v2 Error under request ID 0 on
+    // the same connection, which then answers a valid request with the
+    // exact bytes in-process evaluation encodes.
+    let system = fig5_system();
+    let request = small_request(&system, 31);
+    let good = encode_request_v2(&request, 5, None);
+    let mut v1 = good.clone();
+    v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+    let mut bad_magic = good.clone();
+    bad_magic[..4].copy_from_slice(b"JUNK");
+    let mut v9 = good.clone();
+    v9[4..8].copy_from_slice(&9u32.to_le_bytes());
+
+    let service = serve(PoolConfig::new(WORKER, 1));
+    let mut stream = std::net::TcpStream::connect(service.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = stream.try_clone().unwrap();
+    for (frame, want) in [
+        (&v1, "version 1"),
+        (&bad_magic, "magic"),
+        (&v9, "version 9"),
+    ] {
+        write_frame(&mut stream, frame).unwrap();
+        stream.flush().unwrap();
+        let payload = read_frame(&mut reader).unwrap().expect("a refusal frame");
+        match decode_response_v2(&payload).unwrap() {
+            ShardResponseV2::Error {
+                request_id,
+                message,
+            } => {
+                assert_eq!(request_id, 0, "{want}: refusals carry request ID 0");
+                assert!(message.contains(want), "{want}: {message}");
+            }
+            other => panic!("{want}: expected an error value, got {other:?}"),
+        }
+    }
+    write_frame(&mut stream, &good).unwrap();
+    stream.flush().unwrap();
+    let payload = read_frame(&mut reader).unwrap().expect("a response frame");
+    let runs = evaluate_batch_in_process(
+        &BatchEvaluator::new(),
+        &system,
+        SngKind::Xoshiro,
+        &[0.15, 0.4, 0.8],
+        64,
+        31,
+    )
+    .unwrap();
+    let expected = encode_response_v2(&ShardResponseV2::Runs {
+        request_id: 5,
+        runs,
+    });
+    assert_eq!(payload, expected, "the connection survived the refusals");
+    drop(stream);
+    drop(reader);
+    service.drain();
+}

@@ -1,29 +1,26 @@
-//! End-to-end process-sharding equivalence: real `shard_worker`
-//! subprocesses, spawned by the [`ShardCoordinator`], must reproduce
-//! single-process results **byte for byte** — for shard counts
-//! {1, 2, 3, 7} (ragged splits included), every SNG kind, and the image
-//! pipelines — and fail *as values* when workers die (including a
-//! killed-worker recovery case riding the coordinator's retry).
+//! End-to-end spawn-per-call equivalence: a
+//! [`osc_core::batch::shard::pool::WorkerPool`] of real `shard_worker`
+//! subprocesses, spawned from a [`PoolConfig`] for a single call and
+//! dropped after it, must reproduce single-process results **byte for
+//! byte** — for worker counts {1, 2, 3, 7} (ragged splits included),
+//! every SNG kind, and the image pipelines — and fail *as values* when
+//! workers die (including a killed-worker recovery case riding the
+//! pool's retry).
 //!
-//! Since the pool landed, the coordinator is a one-shot facade over
-//! `pool::WorkerPool`, so this suite also pins the pool's spawn /
-//! dispatch / retry machinery end to end; the persistent-pool paths
-//! (warm caches, kill-mid-stream, cache-miss fallback) live in
-//! `pool_equivalence.rs`.
-//!
-//! This suite owns the worker binary via `CARGO_BIN_EXE_shard_worker`;
-//! the in-memory protocol properties live in
-//! `osc-core/tests/shard_equivalence.rs` and
+//! The persistent-pool paths (warm caches, kill-mid-stream, cache-miss
+//! fallback) live in `pool_equivalence.rs`; the in-memory protocol
+//! properties live in `osc-core/tests/shard_equivalence.rs` and
 //! `osc-core/tests/protocol_robustness.rs`.
 
 use osc_apps::backend::OpticalBackend;
-use osc_apps::contrast::{run_contrast_sharded, smoothstep_poly};
+use osc_apps::contrast::{run_contrast_lanes, run_contrast_pooled, smoothstep_poly};
 use osc_apps::gamma_app::{
-    apply_optical_lanes, apply_optical_sharded, paper_gamma_polynomial, run_gamma_lanes,
-    run_gamma_sharded,
+    apply_optical_lanes, apply_optical_pooled, paper_gamma_polynomial, run_gamma_lanes,
+    run_gamma_pooled,
 };
 use osc_apps::image::Image;
-use osc_core::batch::shard::{ShardCoordinator, ShardError, SngKind};
+use osc_core::batch::shard::pool::{PoolConfig, WorkerPool};
+use osc_core::batch::shard::{ShardError, SngKind};
 use osc_core::batch::BatchEvaluator;
 use osc_core::params::CircuitParams;
 use osc_core::system::{OpticalRun, OpticalScSystem};
@@ -39,6 +36,11 @@ fn fig5_system() -> OpticalScSystem {
         BernsteinPoly::new(vec![0.25, 0.625, 0.75]).unwrap(),
     )
     .unwrap()
+}
+
+/// A pool spawned for one call, as the spawn-per-request baseline does.
+fn per_call_pool(config: PoolConfig) -> WorkerPool {
+    config.spawn().unwrap()
 }
 
 fn reference_runs(
@@ -75,9 +77,8 @@ fn sharded_batches_match_single_process_for_all_sngs_and_counts() {
     for kind in SngKind::ALL {
         let reference = reference_runs(&system, kind, &xs, 128, 7);
         for shards in [1usize, 2, 3, 7] {
-            let coordinator = ShardCoordinator::new(WORKER, shards).with_worker_threads(1);
-            let sharded = coordinator
-                .evaluate_many(&system, kind, &xs, 128, 7)
+            let sharded = per_call_pool(PoolConfig::new(WORKER, shards).with_worker_threads(1))
+                .evaluate_many(&system, kind, &xs, 128, 7, None)
                 .unwrap();
             assert_eq!(sharded, reference, "{} shards={shards}", kind.name());
         }
@@ -93,11 +94,16 @@ fn sharded_gamma_image_is_byte_identical_across_shard_counts() {
     let poly = paper_gamma_polynomial().unwrap();
     let params = CircuitParams::paper_fig7(6, Nanometers::new(0.165));
     let backend = OpticalBackend::new(params, poly, 256, 13).unwrap();
-    let in_process =
-        apply_optical_lanes(&image, &backend, &BatchEvaluator::with_threads(2)).unwrap();
+    let evaluator = BatchEvaluator::with_threads(2);
+    let in_process = apply_optical_lanes(&image, &backend, &evaluator).unwrap();
+    let lanes_report = run_gamma_lanes(&image, &backend, &evaluator).unwrap();
     for shards in [1usize, 2, 3, 7] {
-        let coordinator = ShardCoordinator::new(WORKER, shards);
-        let sharded = apply_optical_sharded(&image, &backend, &coordinator).unwrap();
+        let sharded = apply_optical_pooled(
+            &image,
+            &backend,
+            &mut per_call_pool(PoolConfig::new(WORKER, shards)),
+        )
+        .unwrap();
         let identical = sharded
             .pixels()
             .iter()
@@ -105,9 +111,12 @@ fn sharded_gamma_image_is_byte_identical_across_shard_counts() {
             .all(|(a, b)| a.to_bits() == b.to_bits());
         assert!(identical, "shards={shards}: sharded image bytes diverged");
         // The derived quality reports agree exactly too.
-        let lanes_report =
-            run_gamma_lanes(&image, &backend, &BatchEvaluator::with_threads(2)).unwrap();
-        let sharded_report = run_gamma_sharded(&image, &backend, &coordinator).unwrap();
+        let sharded_report = run_gamma_pooled(
+            &image,
+            &backend,
+            &mut per_call_pool(PoolConfig::new(WORKER, shards)),
+        )
+        .unwrap();
         assert_eq!(sharded_report, lanes_report, "shards={shards}");
     }
 }
@@ -118,10 +127,13 @@ fn sharded_contrast_matches_lanes_pipeline() {
     let params = CircuitParams::paper_fig7(3, Nanometers::new(0.2));
     let backend = OpticalBackend::new(params, smoothstep_poly(), 512, 5).unwrap();
     let (lanes_img, lanes_mae) =
-        osc_apps::contrast::run_contrast_lanes(&image, &backend, &BatchEvaluator::with_threads(2))
-            .unwrap();
-    let (sharded_img, sharded_mae) =
-        run_contrast_sharded(&image, &backend, &ShardCoordinator::new(WORKER, 3)).unwrap();
+        run_contrast_lanes(&image, &backend, &BatchEvaluator::with_threads(2)).unwrap();
+    let (sharded_img, sharded_mae) = run_contrast_pooled(
+        &image,
+        &backend,
+        &mut per_call_pool(PoolConfig::new(WORKER, 3)),
+    )
+    .unwrap();
     assert_eq!(sharded_img, lanes_img);
     assert_eq!(sharded_mae, lanes_mae);
 }
@@ -129,13 +141,12 @@ fn sharded_contrast_matches_lanes_pipeline() {
 #[test]
 fn dead_worker_surfaces_a_clean_error_after_retries() {
     // A "worker" that exits immediately without speaking the protocol:
-    // the coordinator must detect the failure on every attempt and
-    // return a ShardError, never panic or hang.
+    // a pool spawned for the call must detect the failure on every
+    // attempt and return a ShardError, never panic or hang.
     let system = fig5_system();
     let xs = [0.25, 0.5, 0.75];
-    let coordinator = ShardCoordinator::new("/bin/false", 2).with_retries(1);
-    let err = coordinator
-        .evaluate_many(&system, SngKind::Xoshiro, &xs, 64, 1)
+    let err = per_call_pool(PoolConfig::new("/bin/false", 2).with_retries(1))
+        .evaluate_many(&system, SngKind::Xoshiro, &xs, 64, 1, None)
         .unwrap_err();
     assert!(
         matches!(err, ShardError::Worker { .. }),
@@ -143,9 +154,9 @@ fn dead_worker_surfaces_a_clean_error_after_retries() {
     );
     // A binary that cannot be spawned at all is also a value, and is
     // distinguishable from a worker that launched and then died.
-    let coordinator = ShardCoordinator::new("/nonexistent/worker", 2).with_retries(0);
-    let err = coordinator
-        .evaluate_many(&system, SngKind::Xoshiro, &xs, 64, 1)
+    let err = PoolConfig::new("/nonexistent/worker", 2)
+        .with_retries(0)
+        .spawn()
         .unwrap_err();
     assert!(matches!(err, ShardError::Spawn { .. }), "{err}");
 }
@@ -155,8 +166,8 @@ fn killed_worker_recovers_on_retry_with_identical_results() {
     // A flaky launcher: the first invocation per marker directory kills
     // itself before speaking the protocol (simulating a worker dying
     // mid-batch); every later invocation execs the real worker. With one
-    // retry the coordinator must recover and still produce the exact
-    // single-process bytes.
+    // retry a pool spawned for the call must recover and still produce
+    // the exact single-process bytes.
     let marker_dir = std::env::temp_dir().join(format!(
         "osc-shard-flaky-{}-{}",
         std::process::id(),
@@ -179,9 +190,8 @@ fn killed_worker_recovers_on_retry_with_identical_results() {
     let system = fig5_system();
     let xs: Vec<f64> = (0..9).map(|i| i as f64 / 8.0).collect();
     let reference = reference_runs(&system, SngKind::Xoshiro, &xs, 128, 3);
-    let coordinator = ShardCoordinator::new(&script_path, 3).with_retries(1);
-    let recovered = coordinator
-        .evaluate_many(&system, SngKind::Xoshiro, &xs, 128, 3)
+    let recovered = per_call_pool(PoolConfig::new(&script_path, 3).with_retries(1))
+        .evaluate_many(&system, SngKind::Xoshiro, &xs, 128, 3, None)
         .unwrap();
     assert_eq!(recovered, reference, "recovery must not change results");
     assert!(
@@ -190,9 +200,8 @@ fn killed_worker_recovers_on_retry_with_identical_results() {
     );
     // With retries disabled the same first-death launcher fails cleanly.
     let _ = std::fs::remove_file(marker_dir.join("died-once"));
-    let coordinator = ShardCoordinator::new(&script_path, 3).with_retries(0);
-    let err = coordinator
-        .evaluate_many(&system, SngKind::Xoshiro, &xs, 128, 3)
+    let err = per_call_pool(PoolConfig::new(&script_path, 3).with_retries(0))
+        .evaluate_many(&system, SngKind::Xoshiro, &xs, 128, 3, None)
         .unwrap_err();
     assert!(matches!(err, ShardError::Worker { .. }), "{err}");
     let _ = std::fs::remove_dir_all(&marker_dir);
@@ -203,9 +212,8 @@ fn remote_evaluation_errors_cross_the_boundary_as_values() {
     // An out-of-range input is rejected by the worker and reported as a
     // remote error (not retried — the answer is deterministic).
     let system = fig5_system();
-    let coordinator = ShardCoordinator::new(WORKER, 2);
-    let err = coordinator
-        .evaluate_many(&system, SngKind::Xoshiro, &[0.5, 1.5], 64, 1)
+    let err = per_call_pool(PoolConfig::new(WORKER, 2))
+        .evaluate_many(&system, SngKind::Xoshiro, &[0.5, 1.5], 64, 1, None)
         .unwrap_err();
     match err {
         ShardError::Remote { detail, .. } => {
@@ -219,12 +227,11 @@ fn remote_evaluation_errors_cross_the_boundary_as_values() {
 fn worker_thread_pinning_does_not_change_results() {
     let system = fig5_system();
     let xs: Vec<f64> = (0..13).map(|i| i as f64 / 12.0).collect();
-    let pinned = ShardCoordinator::new(WORKER, 2)
-        .with_worker_threads(1)
-        .evaluate_many(&system, SngKind::Chaotic, &xs, 256, 11)
+    let pinned = per_call_pool(PoolConfig::new(WORKER, 2).with_worker_threads(1))
+        .evaluate_many(&system, SngKind::Chaotic, &xs, 256, 11, None)
         .unwrap();
-    let free = ShardCoordinator::new(WORKER, 2)
-        .evaluate_many(&system, SngKind::Chaotic, &xs, 256, 11)
+    let free = per_call_pool(PoolConfig::new(WORKER, 2))
+        .evaluate_many(&system, SngKind::Chaotic, &xs, 256, 11, None)
         .unwrap();
     assert_eq!(pinned, free, "OSC_THREADS pinning must be unobservable");
 }

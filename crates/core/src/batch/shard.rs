@@ -6,43 +6,32 @@
 //! chips. The pieces:
 //!
 //! - [`ShardPlan`] — splits a batch of `n` items into contiguous,
-//!   balanced index ranges, one per shard;
-//! - the **wire protocol** ([`ShardRequest`] / [`ShardResponse`], see
+//!   balanced index ranges, one per worker;
+//! - the **wire protocol** ([`ShardRequest`] / [`ShardResponseV2`], see
 //!   below) — a framed, versioned binary encoding of "evaluate these
 //!   items of this system" and the per-item [`OpticalRun`]s coming back;
 //! - [`serve`] — the worker side: a read-request/write-response loop any
 //!   binary can expose over stdin/stdout (the `osc-bench` crate ships it
 //!   as the `shard_worker` binary), holding a small LRU cache of built
 //!   circuits across requests;
-//! - [`pool::WorkerPool`] — the long-lived parent side: spawns N worker
-//!   processes **once**, keeps them alive across requests, dispatches
+//! - [`pool::WorkerPool`] — the one parent side: spawns N worker
+//!   processes, keeps them alive across requests, dispatches
 //!   round-robin, respawns + retries on worker death, and references
-//!   worker-cached circuits instead of reshipping them;
-//! - [`ShardCoordinator`] — the one-shot parent side: every call spawns
-//!   a fresh pool sized to the plan (acquire → run → drop), feeds each
-//!   worker its range, collects responses and merges them in index
-//!   order, with worker failure detection and per-shard retry.
-//!
-//! # One-shot vs pooled
-//!
-//! A [`ShardCoordinator`] pays process spawn + circuit construction on
-//! **every** call — the right trade for one big batch, and a bad one for
-//! a stream of small requests (the paper's image workloads are many
-//! small evaluations). A [`pool::WorkerPool`] pays both **once**:
+//!   worker-cached circuits instead of reshipping them. A
+//!   spawn-per-call caller simply spawns a pool from a
+//!   [`pool::PoolConfig`] for each call and drops it afterwards;
+//! - [`pool::PoolDispatcher`] and [`service::Service`] — the same pool
+//!   behind a concurrent front end and a TCP socket.
 //!
 //! ```no_run
-//! use osc_core::batch::shard::{pool::PoolConfig, ShardCoordinator, SngKind};
+//! use osc_core::batch::shard::{pool::PoolConfig, SngKind};
 //! # fn demo(system: &osc_core::system::OpticalScSystem) -> Result<(), Box<dyn std::error::Error>> {
-//! // One-shot: spawn, evaluate, reap — per call.
-//! let coordinator = ShardCoordinator::new("shard_worker", 3);
-//! let once = coordinator.evaluate_many(system, SngKind::Xoshiro, &[0.5], 256, 7)?;
-//!
-//! // Pooled: spawn 3 workers once, then stream requests at them. The
-//! // workers cache the built circuit, so repeat requests skip both the
-//! // spawn and the rebuild. Results are bit-identical either way.
+//! // Spawn 3 workers once, then stream requests at them. The workers
+//! // cache the built circuit, so repeat requests skip both the spawn
+//! // and the rebuild. Results are bit-identical to in-process runs.
 //! let mut pool = PoolConfig::new("shard_worker", 3).spawn()?;
 //! for seed in 0..100u64 {
-//!     let runs = pool.evaluate_many(system, SngKind::Xoshiro, &[0.5], 256, seed)?;
+//!     let runs = pool.evaluate_many(system, SngKind::Xoshiro, &[0.5], 256, seed, None)?;
 //!     assert_eq!(runs.len(), 1);
 //! }
 //! # Ok(()) }
@@ -58,90 +47,114 @@
 //! the row+lane image pipelines) do. A shard covering `[a, b)` runs
 //! [`super::BatchEvaluator::evaluate_range`] with `first_index = a`
 //! inside its own process, so concatenating shard outputs in plan order
-//! is **byte-identical** to the unsharded evaluation for every shard
+//! is **byte-identical** to the unsharded evaluation for every worker
 //! count, worker thread count and SIMD tier. The `f64` payloads travel
 //! as IEEE-754 bit patterns (`to_bits`/`from_bits`), so no value is
 //! perturbed in transit.
 //!
-//! # Wire protocol
+//! # Wire protocol (v2/v3)
 //!
 //! Both directions use the same framing: a little-endian `u64` payload
-//! length (capped at [`MAX_FRAME_BYTES`] — a garbled prefix is rejected
-//! before any allocation), then the payload. Integers are little-endian;
-//! every `f64` is its IEEE-754 bit pattern as a `u64`. A worker reads
-//! frames until EOF and answers each with exactly one response frame.
-//! Two payload versions coexist — the version word directly after the
-//! magic selects the decoder, and [`serve`] answers a frame in the
-//! version it arrived in, so v1 coordinators keep working against v2
-//! workers unchanged.
+//! length (capped at [`MAX_FRAME_BYTES`]; the payload buffer grows only
+//! as bytes actually arrive, so a hostile prefix cannot force a large
+//! allocation), then the payload. Integers are little-endian; every
+//! `f64` is its IEEE-754 bit pattern as a `u64`. A worker reads frames
+//! until EOF and answers each with exactly one response frame.
 //!
-//! Version-1 request payload:
+//! One protocol family is live: version **2**, and version **3** — the
+//! v2 layout plus a fault block — emitted only when a request carries a
+//! fault spec. Every request carries a **request ID** echoed in its
+//! response (so one worker can serve interleaved requests and desyncs
+//! are detectable), and a **circuit-cache reference** lets a stream of
+//! requests against the same circuit ship the parameters +
+//! coefficients once.
+//!
+//! Request payload ([`encode_request_v2`] / [`decode_request_v2`]):
 //!
 //! ```text
 //! u32  magic  "OSCR" (0x4F53_4352)
-//! u32  version (currently 1)
+//! u32  version       2, or 3 when a fault block follows
+//! u64  request id (opaque to the worker, echoed in the response)
+//! u8   circuit kind  0 = inline, 1 = cached reference
 //! u8   job kind      0 = Batch, 1 = ImageRows
 //! u8   SNG kind      0 = lfsr, 1 = counter, 2 = xoshiro, 3 = chaotic
-//! u16  reserved (0)
+//! u8   reserved (0)
 //! u64  batch seed
 //! u64  stream length (bits per evaluation)
-//! CircuitParams      one u64: order in the low 32 bits, backend tag
-//!                    in the high 32 bits ([`crate::backend::BackendKind::tag`];
-//!                    0 = MRR/MZI, 1 = nanocavity); then 19 f64s in
-//!                    declaration order
-//!                    (spacing, λ_last, λ_ref, MZI IL dB, MZI ER dB,
-//!                    modulator r1/r2/a/FSR/Δλ, filter r1/r2/a/FSR/OTE,
-//!                    pump mW, probe mW, responsivity, noise current)
-//! u64  coefficient count, then that many f64 Bernstein coefficients
+//! v3 only — fault block:
+//!      u8 fault present (0/1); if present: f64 flip probability,
+//!      f64 shift probability, u64 flip seed, u64 shift seed,
+//!      u8 stuck-at present (0/1), then u64 mask + u64 value
+//! inline:  CircuitParams — one u64: order in the low 32 bits, backend
+//!          tag in the high 32 bits; then 19 f64s in declaration order
+//!          (spacing, λ_last, λ_ref, MZI IL dB, MZI ER dB, modulator
+//!          r1/r2/a/FSR/Δλ, filter r1/r2/a/FSR/OTE, pump mW, probe mW,
+//!          responsivity, noise current) — then u64 coefficient count
+//!          and that many f64 Bernstein coefficients (the worker builds,
+//!          or reuses, the system and caches it under its digest)
+//! cached:  u64 digest (the worker looks the system up; a miss is
+//!          answered with a cache-miss response, never an evaluation)
 //! Batch job:     u64 first global index, u64 count, count × f64 inputs
 //! ImageRows job: u64 image width, u64 first global row, u64 pixel
 //!                count, count × f64 pixels (row-major)
 //! ```
 //!
-//! Version-1 response payload:
+//! Response payload ([`encode_response_v2`] / [`decode_response_v2`]),
+//! always version 2 — responses are unversioned by faults:
 //!
 //! ```text
 //! u32  magic  "OSCA" (0x4F53_4341)
-//! u32  version (1)
-//! u8   status        0 = ok, 1 = error
-//! ok:    u64 run count, then per run: estimate, ideal_estimate, exact,
-//!        observed_ber (4 × f64) and stream_length (u64), in item order
-//! error: u64 message length, then that many UTF-8 bytes
+//! u32  version (2)
+//! u64  request id (echoed)
+//! u8   status        0 = ok, 1 = error, 2 = cache miss
+//! ok:         u64 run count, then per run: estimate, ideal_estimate,
+//!             exact, observed_ber (4 × f64) and stream_length (u64),
+//!             in item order
+//! error:      u64 message length, then that many UTF-8 bytes
+//! cache miss: u64 digest that was not found (the sender falls back to
+//!             an inline request; [`pool::WorkerPool`] does this
+//!             transparently)
 //! ```
 //!
-//! ## Backend tag and backward compatibility
+//! ## Refusals: request ID 0
+//!
+//! A frame outside the v2/v3 family — bad magic, the retired version 1,
+//! or an unknown version — carries no request ID the receiver can trust.
+//! Workers ([`serve`]) and the TCP service answer it with a v2 `Error`
+//! response whose request ID is **0**, an ID the pool and every client
+//! in this workspace never issue, so a refusal can never be mistaken for
+//! the answer to a real request. The worker and the connection stay up
+//! after a refusal. A v2/v3 frame that fails to decode further in
+//! (unknown tag, invalid fault spec, truncation) is answered with an
+//! `Error` echoing its own request ID.
+//!
+//! ## Backend tag
 //!
 //! The transmission backend rides in the **high 32 bits of the order
-//! word** of the `CircuitParams` block — the same packing in every
-//! protocol version. The rule that keeps this compatible both ways:
-//! the default backend ([`crate::backend::BackendKind::MrrMzi`]) is
-//! tag **0**, so default-backend traffic is byte-identical to frames
-//! produced before the tag existed — digests, cache keys and recorded
-//! fixtures all survive unchanged. A peer too old to know the tag
-//! decodes a non-default frame as an absurd order (≥ 2³²) and fails
-//! its order validation loudly; a peer receiving an unknown tag
-//! rejects the frame with a clean `unknown backend tag` error. Either
-//! way a mismatch is an error response, never silently-wrong physics.
-//! The tag is part of the canonical circuit bytes, so
-//! [`circuit_digest`] and the full cache key separate backends that
-//! share every numeric parameter.
+//! word** of the `CircuitParams` block, packed the same way in every
+//! protocol version this code has spoken. The default backend
+//! ([`crate::backend::BackendKind::MrrMzi`]) is tag **0**, so
+//! default-backend traffic is byte-identical to frames produced before
+//! the tag existed — digests, cache keys and recorded fixtures all
+//! survive unchanged. A peer too old to know the tag decodes a
+//! non-default frame as an absurd order (≥ 2³²) and fails its order
+//! validation loudly; a peer receiving an unknown tag rejects the frame
+//! with a clean `unknown backend tag` error. Either way a mismatch is an
+//! error response, never silently-wrong physics. The tag is part of the
+//! canonical circuit bytes, so [`circuit_digest`] and the full cache key
+//! separate backends that share every numeric parameter.
 //!
-//! # Wire protocol v2 (request IDs + circuit cache)
+//! ## Circuit cache
 //!
-//! Version 2 adds what a persistent pool needs: a **request ID** echoed
-//! in every response (so one worker can serve interleaved requests from
-//! a coordinator and desyncs are detectable), and a **circuit-cache
-//! reference** so a stream of requests against the same circuit ships
-//! the parameters + coefficients once. The worker keeps the last
-//! [`CIRCUIT_CACHE_CAPACITY`] built [`OpticalScSystem`]s in LRU order,
-//! keyed by [`circuit_digest`] (FNV-1a over the canonical encoding of
-//! params + coefficients). Digest collisions cannot silently evaluate
-//! the wrong circuit: inline insertions compare the full encoded key
-//! and evict any same-digest entry with a different key (one circuit
-//! per digest, always), and [`pool::WorkerPool`] only sends a cached
-//! reference when the full key matches the circuit it last shipped
-//! inline under that digest — a collision costs rebuilds, never
-//! correctness.
+//! The worker keeps the last [`CIRCUIT_CACHE_CAPACITY`] built
+//! [`OpticalScSystem`]s in LRU order, keyed by [`circuit_digest`]
+//! (FNV-1a over the canonical encoding of params + coefficients).
+//! Digest collisions cannot silently evaluate the wrong circuit: inline
+//! insertions compare the full encoded key and evict any same-digest
+//! entry with a different key (one circuit per digest, always), and
+//! [`pool::WorkerPool`] only sends a cached reference when the full key
+//! matches the circuit it last shipped inline under that digest — a
+//! collision costs rebuilds, never correctness.
 //!
 //! **Sizing the cache for many-distinct-circuits workloads.** The
 //! default capacity (8) suits serving profiles that hammer a handful of
@@ -156,92 +169,32 @@
 //! rebuild time, never bytes, so this is purely a throughput knob (the
 //! `design_sweep_order_grid` bench record tracks it).
 //!
-//! Version-2 request payload ([`encode_request_v2`] / [`decode_request_v2`]):
-//!
-//! ```text
-//! u32  magic  "OSCR"
-//! u32  version (2)
-//! u64  request id (opaque to the worker, echoed in the response)
-//! u8   circuit kind  0 = inline, 1 = cached reference
-//! u8   job kind      0 = Batch, 1 = ImageRows
-//! u8   SNG kind      0 = lfsr, 1 = counter, 2 = xoshiro, 3 = chaotic
-//! u8   reserved (0)
-//! u64  batch seed
-//! u64  stream length (bits per evaluation)
-//! inline:  CircuitParams + u64 coefficient count + coefficients
-//!          (worker builds — or reuses — the system and caches it
-//!          under its digest)
-//! cached:  u64 digest (worker looks the system up; a miss is answered
-//!          with a cache-miss response, never an evaluation)
-//! job body exactly as in version 1
-//! ```
-//!
-//! Version-2 response payload ([`encode_response_v2`] / [`decode_response_v2`]):
-//!
-//! ```text
-//! u32  magic  "OSCA"
-//! u32  version (2)
-//! u64  request id (echoed)
-//! u8   status        0 = ok, 1 = error, 2 = cache miss
-//! ok / error: exactly the version-1 bodies
-//! cache miss: u64 digest that was not found (the sender falls back to
-//!             an inline request; [`pool::WorkerPool`] does this
-//!             transparently)
-//! ```
-//!
-//! # Wire protocol v3 (fault injection)
-//!
-//! Version 3 carries an optional [`crate::fault::FaultSpec`] so faulty
-//! evaluation rides the same shard/pool machinery as clean evaluation.
-//! The layout is exactly the v2 request with version word `3` and one
-//! **fault block** inserted between the stream length and the circuit:
-//!
-//! ```text
-//! u32  magic  "OSCR"
-//! u32  version (3)
-//! u64  request id
-//! u8   circuit kind, u8 job kind, u8 SNG kind, u8 reserved — as in v2
-//! u64  batch seed
-//! u64  stream length (bits per evaluation)
-//! u8   fault present  0 = none, 1 = spec follows
-//! if present: f64 flip probability, f64 shift probability,
-//!             u64 flip seed, u64 shift seed,
-//!             u8 stuck-at present (0/1), then u64 mask + u64 value
-//! circuit + job bodies exactly as in version 2
-//! ```
-//!
-//! Version-negotiation rules:
+//! ## Faults (v3)
 //!
 //! - [`encode_request_v2`] emits version **2** when the request carries
 //!   no fault spec and version **3** only when one is present, so
 //!   fault-free traffic is byte-identical to what a pre-fault build
-//!   emits and keeps working against old workers unchanged;
+//!   emits;
 //! - [`decode_request_v2`] accepts versions 2 and 3 (a v2 frame simply
-//!   has no fault block); [`serve`] answers both with **v2 responses**
-//!   — responses are unversioned by faults;
+//!   has no fault block); [`serve`] answers both with v2 responses;
 //! - the decoded [`crate::fault::FaultSpec`] is validated at decode
 //!   time (probabilities finite, in `[0, 1]`): a malformed spec comes
 //!   back as an error *value* with the echoed request ID, never a
-//!   worker panic;
-//! - an old worker that predates v3 fails the v2 sniff on a v3 frame
-//!   and answers a clean v1 "unsupported version" error — a faulty
-//!   request against an old worker fails fast, it never hangs;
-//! - v1 frames cannot carry a fault spec at all ([`encode_request`]
-//!   ignores the field; [`decode_request`] yields `faults: None`).
+//!   worker panic.
 //!
 //! The fault determinism contract matches the clean one: workers rebase
 //! the request-level spec per item — [`crate::fault::FaultSpec::rebased`]
 //! with the global index for flat batches, by row then column for image
-//! jobs — so faulty sharded ≡ faulty unsharded ≡ faulty pooled, bit for
-//! bit, for every shard count.
+//! jobs — so faulty pooled ≡ faulty unsharded, bit for bit, for every
+//! worker count.
 //!
 //! Errors cross the boundary **as values**: the worker validates the
 //! request, catches panics, and reports failures in an error response —
-//! it never aborts on bad input. The coordinator treats a dead worker, a
+//! it never aborts on bad input. The pool treats a dead worker, a
 //! truncated frame, a wrong magic/version or a short response as a
-//! failed shard, retries it on a fresh process ([`ShardCoordinator`]
-//! retries each shard once by default), and only then surfaces a
-//! [`ShardError`].
+//! failed request, retries it on a respawned process
+//! ([`pool::PoolConfig::with_retries`], once by default), and only then
+//! surfaces a [`ShardError`].
 //!
 //! # Service framing (TCP front door)
 //!
@@ -258,13 +211,10 @@
 //!   connection) but never out of order. The connection ends when the
 //!   client closes it (half-close or full close), when a transport
 //!   error occurs, or when the service drains.
-//! - **Version negotiation per connection.** Each *frame* carries its
-//!   own version word, exactly as on a worker pipe. The service accepts
-//!   v2 and v3 frames (v3 iff a fault block is present) and answers in
-//!   kind. v1 frames — which carry no request ID, so desyncs on a
-//!   shared transport would be silent — are answered with a clean **v1
-//!   error value** naming the requirement, and the connection stays
-//!   open: a client can upgrade mid-connection.
+//! - **Version check per frame.** Each *frame* carries its own version
+//!   word, exactly as on a worker pipe. The service accepts v2 and v3
+//!   frames (v3 iff a fault block is present); anything else gets the
+//!   ID-0 refusal above, and the connection stays open.
 //! - **Per-connection circuit cache.** Each connection holds its own
 //!   LRU of [`CIRCUIT_CACHE_CAPACITY`] circuits keyed by
 //!   [`circuit_digest`]; [`CircuitRef::Cached`] references resolve
@@ -300,7 +250,7 @@ use osc_stochastic::bernstein::BernsteinPoly;
 use osc_stochastic::sng::{ChaoticLaserSng, CounterSng, LfsrSng, XoshiroSng};
 use osc_units::{DbRatio, Milliwatts, Nanometers};
 use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Duration;
 
 pub mod pool;
@@ -310,9 +260,7 @@ pub mod service;
 pub const REQUEST_MAGIC: u32 = 0x4F53_4352;
 /// Response frame magic, `"OSCA"`.
 pub const RESPONSE_MAGIC: u32 = 0x4F53_4341;
-/// Original protocol version: one-shot requests, circuit always inline.
-pub const PROTOCOL_VERSION: u32 = 1;
-/// Pool protocol version: request IDs + worker-side circuit cache.
+/// Protocol version: request IDs + worker-side circuit cache: request IDs + worker-side circuit cache.
 pub const PROTOCOL_VERSION_V2: u32 = 2;
 /// Fault-injection protocol version: the v2 layout plus an optional
 /// [`FaultSpec`] block. Emitted only when a request actually carries a
@@ -326,6 +274,9 @@ pub const PROTOCOL_VERSION_V3: u32 = 3;
 /// carry 40 bytes per run, so the cap also bounds one shard to ~6.7M
 /// items per response — plan more shards for batches beyond that.
 pub const MAX_FRAME_BYTES: u64 = 256 * (1 << 20);
+/// Initial payload buffer of [`read_frame`]; larger frames grow the
+/// buffer as their bytes arrive.
+const READ_CHUNK_BYTES: usize = 64 * 1024;
 /// How many built [`OpticalScSystem`]s a [`serve`] loop keeps, in LRU
 /// order, for v2 cached-circuit requests.
 pub const CIRCUIT_CACHE_CAPACITY: usize = 8;
@@ -367,7 +318,7 @@ pub enum ShardError {
     Worker {
         /// Shard index in the plan.
         shard: usize,
-        /// What the coordinator observed.
+        /// What the pool observed.
         detail: String,
     },
     /// A worker failed to answer within the pool's per-request read
@@ -376,7 +327,7 @@ pub enum ShardError {
     Timeout {
         /// Shard index in the plan.
         shard: usize,
-        /// What the coordinator observed (includes the configured
+        /// What the pool observed (includes the configured
         /// timeout).
         detail: String,
     },
@@ -441,7 +392,7 @@ impl std::error::Error for ShardError {}
 /// Which stochastic number generator a worker instantiates per item.
 ///
 /// The variant, together with the per-item seed derivation, pins the
-/// exact generator universe, so coordinator and single-process runs
+/// exact generator universe, so pooled and single-process runs
 /// agree bit for bit:
 ///
 /// - `Lfsr` → `LfsrSng::new(LFSR_WIRE_WIDTH, seed as u32)`;
@@ -540,8 +491,7 @@ macro_rules! dispatch_sng {
 /// Item `i` derives its universe from [`super::mix_seed`]`(seed, i)`,
 /// exactly as a [`ShardRequest::batch`] with `first_index` 0 does, so
 /// the result is byte-identical to shipping the same request through a
-/// [`ShardCoordinator`], [`pool::WorkerPool`] or
-/// [`service::ServiceClient`].
+/// [`pool::WorkerPool`] or a [`service::ServiceClient`].
 ///
 /// # Errors
 ///
@@ -648,8 +598,8 @@ pub struct ShardRequest {
     pub seed: u64,
     /// Stream length (bits) per evaluation.
     pub stream_length: u64,
-    /// Optional fault process, rebased per item on the worker. Only
-    /// travels on v3 frames; v1 encoding drops it.
+    /// Optional fault process, rebased per item on the worker. Its
+    /// presence makes the request travel as a v3 frame.
     pub faults: Option<FaultSpec>,
     /// The work itself.
     pub job: ShardJob,
@@ -724,15 +674,6 @@ impl ShardRequest {
     }
 }
 
-/// One framed response.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ShardResponse {
-    /// Per-item runs, in item order.
-    Runs(Vec<OpticalRun>),
-    /// The worker rejected the request or failed evaluating it.
-    Error(String),
-}
-
 // ---------------------------------------------------------------------
 // Encoding primitives
 // ---------------------------------------------------------------------
@@ -773,10 +714,6 @@ impl<'a> Cursor<'a> {
 
     fn u8(&mut self) -> Result<u8, String> {
         Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
     fn u32(&mut self) -> Result<u32, String> {
@@ -935,166 +872,6 @@ fn decode_job(c: &mut Cursor<'_>, job_kind: u8) -> Result<ShardJob, String> {
     }
 }
 
-/// Serializes a request into one frame payload (no length prefix).
-///
-/// Version 1 has no fault field: a `faults` spec on the request does
-/// **not** travel on a v1 frame (use [`encode_request_v2`], which
-/// negotiates up to v3 when a spec is present).
-pub fn encode_request(req: &ShardRequest) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(256);
-    put_u32(&mut buf, REQUEST_MAGIC);
-    put_u32(&mut buf, PROTOCOL_VERSION);
-    buf.push(req.job.kind());
-    buf.push(req.sng.as_u8());
-    buf.extend_from_slice(&0u16.to_le_bytes());
-    put_u64(&mut buf, req.seed);
-    put_u64(&mut buf, req.stream_length);
-    encode_params(&mut buf, &req.params);
-    put_u64(&mut buf, req.coeffs.len() as u64);
-    for &c in &req.coeffs {
-        put_f64(&mut buf, c);
-    }
-    encode_job(&mut buf, &req.job);
-    buf
-}
-
-/// Parses a request frame payload.
-///
-/// # Errors
-///
-/// A description of the first violation (bad magic, unknown version,
-/// truncation, trailing bytes).
-pub fn decode_request(payload: &[u8]) -> Result<ShardRequest, String> {
-    let mut c = Cursor::new(payload);
-    let magic = c.u32()?;
-    if magic != REQUEST_MAGIC {
-        return Err(format!("bad request magic {magic:#010x}"));
-    }
-    let version = c.u32()?;
-    if version != PROTOCOL_VERSION {
-        return Err(format!(
-            "unsupported protocol version {version} (this build speaks {PROTOCOL_VERSION})"
-        ));
-    }
-    let job_kind = c.u8()?;
-    let sng = SngKind::from_u8(c.u8()?)?;
-    let _reserved = c.u16()?;
-    let seed = c.u64()?;
-    let stream_length = c.u64()?;
-    let params = decode_params(&mut c)?;
-    let n_coeffs = c.u64()?;
-    let coeffs = c.f64_vec(n_coeffs)?;
-    let job = decode_job(&mut c, job_kind)?;
-    if !c.finished() {
-        return Err(format!(
-            "{} trailing bytes after request",
-            payload.len() - c.pos
-        ));
-    }
-    Ok(ShardRequest {
-        params,
-        coeffs,
-        sng,
-        seed,
-        stream_length,
-        faults: None,
-        job,
-    })
-}
-
-/// Serializes a response into one frame payload (no length prefix).
-pub fn encode_response(resp: &ShardResponse) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64);
-    put_u32(&mut buf, RESPONSE_MAGIC);
-    put_u32(&mut buf, PROTOCOL_VERSION);
-    match resp {
-        ShardResponse::Runs(runs) => {
-            buf.push(0);
-            put_u64(&mut buf, runs.len() as u64);
-            for run in runs {
-                put_f64(&mut buf, run.estimate);
-                put_f64(&mut buf, run.ideal_estimate);
-                put_f64(&mut buf, run.exact);
-                put_f64(&mut buf, run.observed_ber);
-                put_u64(&mut buf, run.stream_length as u64);
-            }
-        }
-        ShardResponse::Error(msg) => {
-            buf.push(1);
-            put_u64(&mut buf, msg.len() as u64);
-            buf.extend_from_slice(msg.as_bytes());
-        }
-    }
-    buf
-}
-
-/// Parses a response frame payload.
-///
-/// # Errors
-///
-/// A description of the first violation (bad magic, unknown version,
-/// truncation, trailing bytes).
-pub fn decode_response(payload: &[u8]) -> Result<ShardResponse, String> {
-    let mut c = Cursor::new(payload);
-    let magic = c.u32()?;
-    if magic != RESPONSE_MAGIC {
-        return Err(format!("bad response magic {magic:#010x}"));
-    }
-    let version = c.u32()?;
-    if version != PROTOCOL_VERSION {
-        return Err(format!(
-            "unsupported protocol version {version} (this build speaks {PROTOCOL_VERSION})"
-        ));
-    }
-    let resp = match c.u8()? {
-        0 => {
-            let count = c.u64()?;
-            let count =
-                usize::try_from(count).map_err(|_| "run count overflows usize".to_string())?;
-            if count
-                .checked_mul(40)
-                .is_none_or(|bytes| bytes > payload.len())
-            {
-                return Err(format!("declared {count} runs exceed the payload"));
-            }
-            let mut runs = Vec::with_capacity(count);
-            for _ in 0..count {
-                let estimate = c.f64()?;
-                let ideal_estimate = c.f64()?;
-                let exact = c.f64()?;
-                let observed_ber = c.f64()?;
-                let stream_length = usize::try_from(c.u64()?)
-                    .map_err(|_| "stream length overflows usize".to_string())?;
-                runs.push(OpticalRun {
-                    estimate,
-                    ideal_estimate,
-                    exact,
-                    observed_ber,
-                    stream_length,
-                });
-            }
-            ShardResponse::Runs(runs)
-        }
-        1 => {
-            let len = c.u64()?;
-            let bytes = c.take(
-                usize::try_from(len).map_err(|_| "message length overflows usize".to_string())?,
-            )?;
-            ShardResponse::Error(
-                String::from_utf8(bytes.to_vec()).map_err(|_| "non-UTF-8 error message")?,
-            )
-        }
-        other => return Err(format!("unknown response status {other}")),
-    };
-    if !c.finished() {
-        return Err(format!(
-            "{} trailing bytes after response",
-            payload.len() - c.pos
-        ));
-    }
-    Ok(resp)
-}
-
 // ---------------------------------------------------------------------
 // Protocol v2: request IDs + circuit-cache references
 // ---------------------------------------------------------------------
@@ -1179,8 +956,9 @@ fn circuit_key(params: &CircuitParams, coeffs: &[f64]) -> Vec<u8> {
     buf
 }
 
-/// FNV-1a digest of [`circuit_key`] — the key v2 cached-circuit
-/// references travel as. Workers verify inline insertions against the
+/// FNV-1a digest of the canonical circuit bytes (encoded params,
+/// coefficient count, coefficients) — the key cached-circuit references
+/// travel as. Workers verify inline insertions against the
 /// full key, so a collision can cost a rebuild but never a wrong
 /// evaluation.
 pub fn circuit_digest(params: &CircuitParams, coeffs: &[f64]) -> u64 {
@@ -1478,10 +1256,16 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
 /// Reads one length-prefixed frame. Returns `Ok(None)` on a clean EOF at
 /// a frame boundary; EOF inside a frame is an error.
 ///
+/// The payload buffer grows only as bytes actually arrive — at most
+/// 64 KiB ahead, or twice what has arrived — so a length prefix
+/// announcing a large frame costs memory only once the peer really
+/// sends that much.
+///
 /// # Errors
 ///
 /// Propagates I/O failures; an oversized length prefix is reported as
-/// [`std::io::ErrorKind::InvalidData`].
+/// [`std::io::ErrorKind::InvalidData`], EOF inside the frame as
+/// [`std::io::ErrorKind::UnexpectedEof`].
 pub fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Option<Vec<u8>>> {
     let mut len_bytes = [0u8; 8];
     let mut filled = 0usize;
@@ -1512,8 +1296,16 @@ pub fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Option<Vec<u8>>> {
             format!("frame length {len} exceeds the {MAX_FRAME_BYTES}-byte cap"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    let len = len as usize;
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        // Grow by at most what has already arrived (or one chunk), so the
+        // buffer never runs more than twice ahead of the peer.
+        let start = payload.len();
+        let step = (len - start).min(start.max(READ_CHUNK_BYTES));
+        payload.resize(start + step, 0);
+        r.read_exact(&mut payload[start..])?;
+    }
     Ok(Some(payload))
 }
 
@@ -1531,8 +1323,7 @@ fn build_system(params: &CircuitParams, coeffs: &[f64]) -> Result<OpticalScSyste
 
 /// Evaluates one job on an already-built system, as a value — every
 /// failure (out-of-range input, ragged image payload) comes back as
-/// `Err`. Shared by the v1 and v2 request handlers, so both versions
-/// pin identical generator universes.
+/// `Err`.
 fn evaluate_job(
     system: &OpticalScSystem,
     sng: SngKind,
@@ -1544,7 +1335,7 @@ fn evaluate_job(
     let stream_length =
         usize::try_from(stream_length).map_err(|_| "stream length overflows usize".to_string())?;
     // Refuse upfront a job whose response could not be framed — the
-    // coordinator side plans against the same bound, so this only
+    // pool side plans against the same bound, so this only
     // triggers for foreign clients, before any evaluation work.
     let runs = match job {
         ShardJob::Batch { xs, .. } => xs.len(),
@@ -1602,19 +1393,6 @@ fn evaluate_job(
             })
         }
     }
-}
-
-/// Evaluates one v1 request to runs, as a value.
-fn handle_request(req: &ShardRequest) -> Result<Vec<OpticalRun>, String> {
-    let system = build_system(&req.params, &req.coeffs)?;
-    evaluate_job(
-        &system,
-        req.sng,
-        req.seed,
-        req.stream_length,
-        req.faults.as_ref(),
-        &req.job,
-    )
 }
 
 /// The worker half of the image job: evaluates row-major pixels with the
@@ -1783,70 +1561,61 @@ fn handle_request_v2(req: &ShardRequestV2, cache: &mut CircuitCache) -> ShardRes
     }
 }
 
-/// The request ID of a v2 frame, best effort — used to echo an ID even
-/// when the rest of the payload fails to decode.
-fn peek_request_id(payload: &[u8]) -> u64 {
-    payload
-        .get(8..16)
-        .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte slice")))
-        .unwrap_or(0)
+/// Decodes a request payload, or builds the error response it is owed.
+///
+/// A frame outside the v2/v3 family (bad magic, the retired version 1,
+/// an unknown version) is refused with request ID **0** — its ID field
+/// cannot be trusted, and no pool or client issues ID 0 — while a v2/v3
+/// frame that fails to decode further in echoes its own ID. Shared by
+/// the worker loop and the TCP service, so both refuse identically.
+pub(crate) fn decode_or_refuse(payload: &[u8]) -> Result<ShardRequestV2, ShardResponseV2> {
+    decode_request_v2(payload).map_err(|e| {
+        let v2_family = payload.len() >= 16
+            && payload[..4] == REQUEST_MAGIC.to_le_bytes()
+            && (payload[4..8] == PROTOCOL_VERSION_V2.to_le_bytes()
+                || payload[4..8] == PROTOCOL_VERSION_V3.to_le_bytes());
+        let request_id = if v2_family {
+            u64::from_le_bytes(payload[8..16].try_into().expect("8-byte slice"))
+        } else {
+            0
+        };
+        ShardResponseV2::Error {
+            request_id,
+            message: format!("bad request: {e}"),
+        }
+    })
 }
 
-/// Answers one already-read frame payload, in the protocol version it
-/// arrived in. Panics inside evaluation are caught and reported as
-/// error responses.
+/// Answers one already-read frame payload with a v2 response frame.
+/// Panics inside evaluation are caught and reported as error responses.
 fn answer_payload(payload: &[u8], cache: &mut CircuitCache) -> Vec<u8> {
-    let is_v2_family = payload.len() >= 8
-        && payload[..4] == REQUEST_MAGIC.to_le_bytes()
-        && (payload[4..8] == PROTOCOL_VERSION_V2.to_le_bytes()
-            || payload[4..8] == PROTOCOL_VERSION_V3.to_le_bytes());
-    if is_v2_family {
-        let response = match decode_request_v2(payload) {
-            Err(e) => ShardResponseV2::Error {
-                request_id: peek_request_id(payload),
-                message: format!("bad request: {e}"),
-            },
-            Ok(req) => {
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    handle_request_v2(&req, cache)
-                })) {
-                    Ok(resp) => resp,
-                    Err(panic) => ShardResponseV2::Error {
-                        request_id: req.request_id,
-                        message: format!("worker panicked: {}", panic_message(panic.as_ref())),
-                    },
-                }
-            }
-        };
-        return encode_response_v2(&response);
-    }
-    // v1 — and anything unrecognizable (bad magic, unknown version),
-    // which decode_request reports as a clean v1 error value.
-    let response = match decode_request(payload) {
-        Err(e) => ShardResponse::Error(format!("bad request: {e}")),
+    let response = match decode_or_refuse(payload) {
+        Err(refusal) => refusal,
         Ok(req) => {
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle_request(&req))) {
-                Ok(Ok(runs)) => ShardResponse::Runs(runs),
-                Ok(Err(msg)) => ShardResponse::Error(msg),
-                Err(panic) => ShardResponse::Error(format!(
-                    "worker panicked: {}",
-                    panic_message(panic.as_ref())
-                )),
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                handle_request_v2(&req, cache)
+            })) {
+                Ok(resp) => resp,
+                Err(panic) => ShardResponseV2::Error {
+                    request_id: req.request_id,
+                    message: format!("worker panicked: {}", panic_message(panic.as_ref())),
+                },
             }
         }
     };
-    encode_response(&response)
+    encode_response_v2(&response)
 }
 
 /// The worker loop: reads request frames from `input` until EOF,
-/// answering each with exactly one response frame on `output` — v1
-/// frames get v1 responses, v2 frames get v2 responses, and a circuit
-/// cache (capacity [`CIRCUIT_CACHE_CAPACITY`]) persists across requests
-/// for the v2 cached-circuit path.
+/// answering each with exactly one v2 response frame on `output`; a
+/// circuit cache (capacity [`CIRCUIT_CACHE_CAPACITY`], or
+/// [`CIRCUIT_CACHE_ENV`]) persists across requests for the
+/// cached-circuit path.
 ///
 /// Every failure mode that can be expressed as a value is: malformed
-/// requests, invalid configurations, unknown protocol versions and
-/// evaluation errors come back as error responses, and panics inside
+/// requests, invalid configurations and evaluation errors come back as
+/// error responses, frames outside the v2/v3 family get the ID-0
+/// refusal, and panics inside
 /// evaluation are caught and reported the same way — the process
 /// boundary only ever sees clean frames or EOF. The loop survives every
 /// answered error, so one bad request never costs a live worker.
@@ -1856,8 +1625,8 @@ fn answer_payload(payload: &[u8], cache: &mut CircuitCache) -> Vec<u8> {
 /// Propagates I/O failures on the transport itself (a vanished pipe, a
 /// truncated frame, a length prefix above [`MAX_FRAME_BYTES`]) — the
 /// cases where the stream cannot be resynchronized and exiting is the
-/// only safe answer; the coordinator sees a dead worker and retries on
-/// a fresh process.
+/// only safe answer; the pool sees a dead worker and retries on a
+/// fresh process.
 pub fn serve<R: Read, W: Write>(mut input: R, mut output: W) -> std::io::Result<()> {
     // Test hook: a positive OSC_SERVE_DELAY_MS makes this worker slow
     // (sleep before each answer) without changing a single output byte.
@@ -1893,7 +1662,7 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
 }
 
 // ---------------------------------------------------------------------
-// Coordinator side
+// Parent side: worker location and request planning
 // ---------------------------------------------------------------------
 
 /// Locates a worker binary named `name`: a set [`WORKER_ENV`]
@@ -2028,195 +1797,6 @@ fn image_requests(
     Ok((requests, expected))
 }
 
-/// Spawns worker subprocesses and distributes a batch across them.
-///
-/// Since the pool landed this is the **one-shot** facade over
-/// [`pool::WorkerPool`]: every call spawns a fresh pool with one worker
-/// per shard, feeds each worker its contiguous range, merges the
-/// responses in index order and reaps the pool. Failed shards are
-/// retried on fresh processes ([`ShardCoordinator::with_retries`]
-/// times, default 1) before the batch fails — a killed worker costs a
-/// respawn, not the batch. For a stream of requests, hold a
-/// [`pool::WorkerPool`] instead and pay the spawn once.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardCoordinator {
-    worker: PathBuf,
-    shards: usize,
-    worker_threads: Option<usize>,
-    retries: usize,
-    read_timeout: Option<Duration>,
-}
-
-impl ShardCoordinator {
-    /// Creates a coordinator running `shards` worker processes (`0` is
-    /// treated as `1`) of the given binary.
-    pub fn new(worker: impl AsRef<Path>, shards: usize) -> Self {
-        ShardCoordinator {
-            worker: worker.as_ref().to_path_buf(),
-            shards: shards.max(1),
-            worker_threads: None,
-            retries: 1,
-            read_timeout: None,
-        }
-    }
-
-    /// Sets the per-request response deadline of every worker the
-    /// coordinator spawns (see [`pool::PoolConfig::with_read_timeout`]);
-    /// unset keeps the pool default. A stalled worker then surfaces as
-    /// [`ShardError::Timeout`] instead of blocking the batch forever.
-    pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
-        self.read_timeout = Some(timeout);
-        self
-    }
-
-    /// Pins every worker's internal thread count by exporting
-    /// [`super::THREADS_ENV`] (`OSC_THREADS`) into its environment.
-    /// Results are identical either way; this bounds total CPU
-    /// oversubscription.
-    pub fn with_worker_threads(mut self, threads: usize) -> Self {
-        self.worker_threads = Some(threads.max(1));
-        self
-    }
-
-    /// Sets how many times a failed shard is retried on a fresh process.
-    pub fn with_retries(mut self, retries: usize) -> Self {
-        self.retries = retries;
-        self
-    }
-
-    /// The configured shard count.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The configured worker binary.
-    pub fn worker(&self) -> &Path {
-        &self.worker
-    }
-
-    /// Sharded [`BatchEvaluator::evaluate_many`]: evaluates every `x` in
-    /// `xs`, item `i` on generators derived from `mix_seed(seed, i)`,
-    /// split across worker processes by a [`ShardPlan`]. Byte-identical
-    /// to the single-process evaluation for every shard count.
-    ///
-    /// # Errors
-    ///
-    /// [`ShardError`] when a shard cannot be completed (after retries) or
-    /// a worker reports an evaluation failure.
-    pub fn evaluate_many(
-        &self,
-        system: &OpticalScSystem,
-        sng: SngKind,
-        xs: &[f64],
-        stream_length: usize,
-        seed: u64,
-    ) -> Result<Vec<OpticalRun>, ShardError> {
-        self.evaluate_many_faulted(system, sng, xs, stream_length, seed, None)
-    }
-
-    /// [`ShardCoordinator::evaluate_many`] under an optional fault
-    /// process: every worker rebases `faults` by each item's global
-    /// index ([`FaultSpec::rebased`]), so faulty sharded output is
-    /// byte-identical to faulty single-process output for every shard
-    /// count.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardCoordinator::evaluate_many`]; an invalid spec comes
-    /// back as a remote error value.
-    pub fn evaluate_many_faulted(
-        &self,
-        system: &OpticalScSystem,
-        sng: SngKind,
-        xs: &[f64],
-        stream_length: usize,
-        seed: u64,
-        faults: Option<&FaultSpec>,
-    ) -> Result<Vec<OpticalRun>, ShardError> {
-        let (requests, expected) =
-            batch_requests(system, sng, xs, stream_length, seed, faults, self.shards);
-        let merged = self.run_requests(&requests, &expected)?;
-        Ok(merged.into_iter().flatten().collect())
-    }
-
-    /// Sharded image evaluation: splits the image's rows across worker
-    /// processes, each running the row+lane pipeline derivation
-    /// (`mix_seed(mix_seed(seed, row), column)` per pixel) over its row
-    /// range. Returns per-pixel runs in row-major order — byte-identical
-    /// to the in-process row+lane pipeline for every shard count.
-    ///
-    /// # Errors
-    ///
-    /// [`ShardError::InvalidPlan`] when `pixels` is not a whole number of
-    /// `width`-sized rows; otherwise as [`ShardCoordinator::evaluate_many`].
-    pub fn image_rows(
-        &self,
-        system: &OpticalScSystem,
-        sng: SngKind,
-        width: usize,
-        pixels: &[f64],
-        stream_length: usize,
-        seed: u64,
-    ) -> Result<Vec<OpticalRun>, ShardError> {
-        self.image_rows_faulted(system, sng, width, pixels, stream_length, seed, None)
-    }
-
-    /// [`ShardCoordinator::image_rows`] under an optional fault process,
-    /// rebased per pixel by global row then column — byte-identical to
-    /// the faulty in-process row+lane pipeline for every shard count.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardCoordinator::image_rows`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn image_rows_faulted(
-        &self,
-        system: &OpticalScSystem,
-        sng: SngKind,
-        width: usize,
-        pixels: &[f64],
-        stream_length: usize,
-        seed: u64,
-        faults: Option<&FaultSpec>,
-    ) -> Result<Vec<OpticalRun>, ShardError> {
-        let (requests, expected) = image_requests(
-            system,
-            sng,
-            width,
-            pixels,
-            stream_length,
-            seed,
-            faults,
-            self.shards,
-        )?;
-        let merged = self.run_requests(&requests, &expected)?;
-        Ok(merged.into_iter().flatten().collect())
-    }
-
-    /// Runs one request per shard on a freshly spawned one-shot pool —
-    /// all workers in flight concurrently — and returns their runs in
-    /// shard order.
-    fn run_requests(
-        &self,
-        requests: &[ShardRequest],
-        expected: &[usize],
-    ) -> Result<Vec<Vec<OpticalRun>>, ShardError> {
-        if requests.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut config =
-            pool::PoolConfig::new(&self.worker, requests.len()).with_retries(self.retries);
-        if let Some(threads) = self.worker_threads {
-            config = config.with_worker_threads(threads);
-        }
-        if let Some(timeout) = self.read_timeout {
-            config = config.with_read_timeout(timeout);
-        }
-        let mut pool = config.spawn()?;
-        pool.run_requests(requests, expected)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2230,6 +1810,25 @@ mod tests {
             stream_length: 256,
             faults: None,
             job,
+        }
+    }
+
+    /// Encodes `req` as an inline frame under `id` and reassembles the
+    /// decoded request.
+    fn roundtrip(req: &ShardRequest, id: u64) -> ShardRequest {
+        let decoded = decode_request_v2(&encode_request_v2(req, id, None)).unwrap();
+        assert_eq!(decoded.request_id, id);
+        let CircuitRef::Inline { params, coeffs } = decoded.circuit else {
+            panic!("expected an inline circuit, got {:?}", decoded.circuit);
+        };
+        ShardRequest {
+            params,
+            coeffs,
+            sng: decoded.sng,
+            seed: decoded.seed,
+            stream_length: decoded.stream_length,
+            faults: decoded.faults,
+            job: decoded.job,
         }
     }
 
@@ -2271,8 +1870,7 @@ mod tests {
             first_index: 3,
             xs: vec![0.0, 1.0, 0.123_456_789, f64::MIN_POSITIVE],
         });
-        let decoded = decode_request(&encode_request(&req)).unwrap();
-        assert_eq!(decoded, req);
+        assert_eq!(roundtrip(&req, 3), req);
     }
 
     #[test]
@@ -2283,8 +1881,7 @@ mod tests {
             pixels: vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6],
         });
         req.sng = SngKind::Counter;
-        let decoded = decode_request(&encode_request(&req)).unwrap();
-        assert_eq!(decoded, req);
+        assert_eq!(roundtrip(&req, 4), req);
     }
 
     #[test]
@@ -2305,43 +1902,61 @@ mod tests {
                 stream_length: 1,
             },
         ];
-        let ok = ShardResponse::Runs(runs);
-        assert_eq!(decode_response(&encode_response(&ok)).unwrap(), ok);
-        let err = ShardResponse::Error("no circuit for you".into());
-        assert_eq!(decode_response(&encode_response(&err)).unwrap(), err);
+        let ok = ShardResponseV2::Runs {
+            request_id: u64::MAX,
+            runs,
+        };
+        assert_eq!(decode_response_v2(&encode_response_v2(&ok)).unwrap(), ok);
+        let err = ShardResponseV2::Error {
+            request_id: 0,
+            message: String::new(),
+        };
+        assert_eq!(decode_response_v2(&encode_response_v2(&err)).unwrap(), err);
     }
 
     #[test]
     fn decode_rejects_malformed_payloads() {
-        let good = encode_request(&fig5_request(ShardJob::Batch {
-            first_index: 0,
-            xs: vec![0.5],
-        }));
+        let good = encode_request_v2(
+            &fig5_request(ShardJob::Batch {
+                first_index: 0,
+                xs: vec![0.5],
+            }),
+            1,
+            None,
+        );
         // Wrong magic.
         let mut bad = good.clone();
         bad[0] ^= 0xFF;
-        assert!(decode_request(&bad).unwrap_err().contains("magic"));
-        // Wrong version.
-        let mut bad = good.clone();
-        bad[4] = 99;
-        assert!(decode_request(&bad).unwrap_err().contains("version"));
+        assert!(decode_request_v2(&bad).unwrap_err().contains("magic"));
+        // Wrong version, including the retired version 1.
+        for version in [1u32, 99] {
+            let mut bad = good.clone();
+            bad[4..8].copy_from_slice(&version.to_le_bytes());
+            assert!(decode_request_v2(&bad).unwrap_err().contains("version"));
+        }
         // Truncation at every length: never a panic, always an Err.
         for cut in 0..good.len() {
-            assert!(decode_request(&good[..cut]).is_err(), "cut={cut}");
+            assert!(decode_request_v2(&good[..cut]).is_err(), "cut={cut}");
         }
         // Trailing garbage.
         let mut bad = good.clone();
         bad.push(0);
-        assert!(decode_request(&bad).unwrap_err().contains("trailing"));
+        assert!(decode_request_v2(&bad).unwrap_err().contains("trailing"));
         // A declared element count far beyond the payload must be
-        // rejected before any allocation attempt.
+        // rejected before any allocation attempt. The coefficient count
+        // follows the 36-byte header and the 160-byte params block.
         let mut huge = good.clone();
-        let coeff_count_at = 4 + 4 + 4 + 8 + 8 + 8 + 19 * 8;
+        let coeff_count_at = 4 + 4 + 8 + 4 + 8 + 8 + 8 + 19 * 8;
+        assert_eq!(
+            good[coeff_count_at..coeff_count_at + 8],
+            3u64.to_le_bytes(),
+            "coefficient-count offset moved; update the test"
+        );
         huge[coeff_count_at..coeff_count_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(decode_request(&huge).is_err());
+        assert!(decode_request_v2(&huge).is_err());
         // Response-side garbage.
-        assert!(decode_response(&good).unwrap_err().contains("magic"));
-        assert!(decode_response(&[]).is_err());
+        assert!(decode_response_v2(&good).unwrap_err().contains("magic"));
+        assert!(decode_response_v2(&[]).is_err());
     }
 
     #[test]
@@ -2463,12 +2078,10 @@ mod tests {
             decode_response_v2(&encode_response_v2(&miss)).unwrap(),
             miss
         );
-        // A v1 response is not mistaken for v2, and vice versa.
-        let v1 = encode_response(&ShardResponse::Error("old".into()));
+        // A response with any other version word is rejected.
+        let mut v1 = encode_response_v2(&miss);
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
         assert!(decode_response_v2(&v1).unwrap_err().contains("version"));
-        assert!(decode_response(&encode_response_v2(&miss))
-            .unwrap_err()
-            .contains("version"));
     }
 
     #[test]
@@ -2617,20 +2230,13 @@ mod tests {
             },
             faults: None,
         };
-        let decoded = decode_request(&encode_request(&req)).unwrap();
-        assert_eq!(decoded.params.backend, BackendKind::Nanocavity);
-        let v2 = decode_request_v2(&encode_request_v2(&req, 3, None)).unwrap();
-        match v2.circuit {
-            CircuitRef::Inline { params, .. } => {
-                assert_eq!(params.backend, BackendKind::Nanocavity);
-            }
-            other => panic!("expected an inline circuit, got {other:?}"),
-        }
+        assert_eq!(roundtrip(&req, 3).params.backend, BackendKind::Nanocavity);
         // An unknown tag fails decoding loudly instead of guessing.
-        let mut frame = encode_request(&req);
-        let order_word_at = 28; // magic + version + kind/sng/reserved + seed + stream
+        let mut frame = encode_request_v2(&req, 3, None);
+        let order_word_at = 36; // magic + version + id + tag bytes + seed + stream
+        assert_eq!(frame[order_word_at + 4], 1, "backend-tag offset moved");
         frame[order_word_at + 4..order_word_at + 8].copy_from_slice(&0xBEEFu32.to_le_bytes());
-        assert!(decode_request(&frame)
+        assert!(decode_request_v2(&frame)
             .unwrap_err()
             .contains("unknown backend tag"));
     }
@@ -2677,8 +2283,9 @@ mod tests {
         let mut bad = good.clone();
         bad.push(0);
         assert!(decode_request_v2(&bad).unwrap_err().contains("trailing"));
-        // A v1 frame is cleanly rejected by the v2 decoder.
-        let v1 = encode_request(&req);
+        // A frame claiming the retired version 1 is cleanly rejected.
+        let mut v1 = good.clone();
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
         assert!(decode_request_v2(&v1).unwrap_err().contains("version"));
         // Response-side truncation sweep.
         let resp = encode_response_v2(&ShardResponseV2::CacheMiss {
@@ -2703,7 +2310,10 @@ mod tests {
         let mut truncated = &buf[..3];
         assert!(read_frame(&mut truncated).is_err());
         let mut mid_payload = &buf[..10];
-        assert!(read_frame(&mut mid_payload).is_err());
+        assert_eq!(
+            read_frame(&mut mid_payload).unwrap_err().kind(),
+            std::io::ErrorKind::UnexpectedEof
+        );
         // A hostile length prefix is rejected before allocating — both
         // the absurd and the just-past-the-cap case.
         for prefix in [u64::MAX, MAX_FRAME_BYTES + 1] {
@@ -2714,14 +2324,25 @@ mod tests {
         }
     }
 
-    /// Drives a request through the in-process worker loop.
-    fn serve_one(req: &ShardRequest) -> ShardResponse {
+    /// Drives a request through the in-process worker loop, returning
+    /// the runs or the error message.
+    fn serve_one(req: &ShardRequest) -> Result<Vec<OpticalRun>, String> {
         let mut input = Vec::new();
-        write_frame(&mut input, &encode_request(req)).unwrap();
+        write_frame(&mut input, &encode_request_v2(req, 77, None)).unwrap();
         let mut output = Vec::new();
         serve(&input[..], &mut output).unwrap();
         let payload = read_frame(&mut &output[..]).unwrap().expect("one response");
-        decode_response(&payload).unwrap()
+        match decode_response_v2(&payload).unwrap() {
+            ShardResponseV2::Runs {
+                request_id: 77,
+                runs,
+            } => Ok(runs),
+            ShardResponseV2::Error {
+                request_id: 77,
+                message,
+            } => Err(message),
+            other => panic!("unexpected response {other:?}"),
+        }
     }
 
     #[test]
@@ -2732,42 +2353,39 @@ mod tests {
             xs: vec![0.5],
         });
         req.coeffs = vec![0.5, 0.5];
-        match serve_one(&req) {
-            ShardResponse::Error(msg) => assert!(msg.contains("degree"), "{msg}"),
-            other => panic!("expected an error response, got {other:?}"),
-        }
+        let msg = serve_one(&req).unwrap_err();
+        assert!(msg.contains("degree"), "{msg}");
         // Out-of-range input.
         let req = fig5_request(ShardJob::Batch {
             first_index: 0,
             xs: vec![0.5, 1.5],
         });
-        assert!(matches!(serve_one(&req), ShardResponse::Error(_)));
+        assert!(serve_one(&req).is_err());
         // Invalid params (order zero).
         let mut req = fig5_request(ShardJob::Batch {
             first_index: 0,
             xs: vec![0.5],
         });
         req.params.order = 0;
-        assert!(matches!(serve_one(&req), ShardResponse::Error(_)));
+        assert!(serve_one(&req).is_err());
         // Ragged image payload.
         let req = fig5_request(ShardJob::ImageRows {
             width: 3,
             first_row: 0,
             pixels: vec![0.5; 7],
         });
-        match serve_one(&req) {
-            ShardResponse::Error(msg) => assert!(msg.contains("multiple"), "{msg}"),
-            other => panic!("expected an error response, got {other:?}"),
-        }
-        // A garbage frame still gets a clean error frame back.
+        let msg = serve_one(&req).unwrap_err();
+        assert!(msg.contains("multiple"), "{msg}");
+        // A garbage frame still gets a clean error frame back, refused
+        // under request ID 0.
         let mut input = Vec::new();
         write_frame(&mut input, b"not a request").unwrap();
         let mut output = Vec::new();
         serve(&input[..], &mut output).unwrap();
         let payload = read_frame(&mut &output[..]).unwrap().unwrap();
         assert!(matches!(
-            decode_response(&payload).unwrap(),
-            ShardResponse::Error(_)
+            decode_response_v2(&payload).unwrap(),
+            ShardResponseV2::Error { request_id: 0, .. }
         ));
     }
 
@@ -2789,10 +2407,7 @@ mod tests {
                 first_index: start as u64,
                 xs: xs[start..start + len].to_vec(),
             });
-            match serve_one(&req) {
-                ShardResponse::Runs(runs) => merged.extend(runs),
-                ShardResponse::Error(msg) => panic!("worker error: {msg}"),
-            }
+            merged.extend(serve_one(&req).unwrap());
         }
         assert_eq!(merged, direct);
     }

@@ -1,11 +1,12 @@
 //! Persistent shard-worker pools: spawn once, serve many requests.
 //!
-//! [`super::ShardCoordinator`] pays process spawn + circuit
-//! construction on every call — fine for one big batch, ruinous for the
-//! paper's image workloads, which are streams of *small* evaluations
-//! (the `gamma_64x64_order6_sharded` trajectory entry documents that
-//! overhead). A [`WorkerPool`] is the serving-architecture answer for
-//! one caller; a [`PoolDispatcher`] ([`PoolConfig::spawn_dispatcher`])
+//! [`WorkerPool`] is the one parent side of process sharding. Held
+//! across calls, it pays process spawn + circuit construction once —
+//! the right shape for the paper's image workloads, which are streams
+//! of *small* evaluations. Spawned from a [`PoolConfig`] for each call
+//! and dropped afterwards, it is the spawn-per-call baseline (the
+//! `gamma_64x64_order6_sharded` trajectory entry documents that
+//! overhead). A [`WorkerPool`] serves one caller; a [`PoolDispatcher`] ([`PoolConfig::spawn_dispatcher`])
 //! is the same pool behind a concurrent, shareable `submit(&self)`
 //! front end with depth>1 pipelining per worker, a bounded fair queue
 //! (overload rejected as [`ShardError::Overloaded`] values) and
@@ -40,13 +41,13 @@
 //!   [`ShardError::Timeout`], so a hung worker can never hang a client
 //!   stream. Consecutive respawns of the same slot back off
 //!   exponentially (10 ms doubling to a 1 s cap) so a crash-looping
-//!   worker binary cannot spin the coordinator at full speed.
+//!   worker binary cannot spin the pool at full speed.
 //!
 //! # Determinism contract
 //!
 //! Unchanged from [`super`] — pooled evaluation is **byte-identical**
-//! to one-shot sharded, unsharded, and fused single-lane evaluation,
-//! for every worker count, dispatch order, cache hit/miss pattern and
+//! to unsharded and fused single-lane evaluation, for every worker
+//! count, dispatch order, cache hit/miss pattern and
 //! respawn history, because every work item's generator universe
 //! depends only on `(seed, global index)`.
 
@@ -246,8 +247,7 @@ impl PoolConfig {
 
     /// Spawns one slot per configured worker, burning retries on
     /// transient spawn failures (EAGAIN under momentary pid/fd
-    /// pressure), matching the pre-pool coordinator's per-shard
-    /// behavior.
+    /// pressure).
     fn spawn_slots(&self) -> Result<Vec<WorkerSlot>, ShardError> {
         let mut slots = Vec::with_capacity(self.workers);
         for slot in 0..self.workers {
@@ -404,8 +404,8 @@ struct InFlight {
 /// [`ShardRequest`]s over the v2 wire protocol.
 ///
 /// Construct with [`PoolConfig::spawn`]; drive with
-/// [`WorkerPool::evaluate_many`] / [`WorkerPool::image_rows`] (the same
-/// planning and determinism contract as [`super::ShardCoordinator`]) or
+/// [`WorkerPool::evaluate_many`] / [`WorkerPool::image_rows`] (each
+/// call planned across the live workers by a [`super::ShardPlan`]) or
 /// [`WorkerPool::run_requests`] for pre-built request sets. Dropping
 /// the pool kills and reaps every worker.
 #[derive(Debug)]
@@ -468,36 +468,18 @@ impl WorkerPool {
         }
     }
 
-    /// Pooled [`super::ShardCoordinator::evaluate_many`]: plans `xs`
-    /// across the live workers and merges their runs in index order.
-    /// Byte-identical to the single-process evaluation for every worker
-    /// count.
+    /// Evaluates every `x` in `xs`, item `i` on generators derived
+    /// from `mix_seed(seed, i)` and under the optional fault process
+    /// `faults` (rebased by each item's global index), planned across
+    /// the live workers and merged in index order. Byte-identical to
+    /// the single-process evaluation for every worker count.
     ///
     /// # Errors
     ///
     /// [`ShardError`] when a request cannot be completed (after
-    /// respawn + retries) or a worker reports an evaluation failure.
+    /// respawn + retries) or a worker reports an evaluation failure (an
+    /// invalid fault spec included).
     pub fn evaluate_many(
-        &mut self,
-        system: &OpticalScSystem,
-        sng: SngKind,
-        xs: &[f64],
-        stream_length: usize,
-        seed: u64,
-    ) -> Result<Vec<OpticalRun>, ShardError> {
-        self.evaluate_many_faulted(system, sng, xs, stream_length, seed, None)
-    }
-
-    /// [`WorkerPool::evaluate_many`] under an optional fault process:
-    /// workers rebase `faults` by each item's global index, so faulty
-    /// pooled output is byte-identical to faulty one-shot sharded and
-    /// faulty single-process output for every worker count.
-    ///
-    /// # Errors
-    ///
-    /// As [`WorkerPool::evaluate_many`]; an invalid spec comes back as
-    /// a remote error value.
-    pub fn evaluate_many_faulted(
         &mut self,
         system: &OpticalScSystem,
         sng: SngKind,
@@ -519,37 +501,20 @@ impl WorkerPool {
         Ok(merged.into_iter().flatten().collect())
     }
 
-    /// Pooled [`super::ShardCoordinator::image_rows`]: plans the
-    /// image's rows across the live workers. Returns per-pixel runs in
-    /// row-major order, byte-identical to the in-process row+lane
-    /// pipeline.
+    /// Evaluates an image's pixels through the row+lane pipeline
+    /// derivation (`mix_seed(mix_seed(seed, row), column)` per pixel,
+    /// `faults` rebased by row then column), its rows planned across
+    /// the live workers. Returns per-pixel runs in row-major order,
+    /// byte-identical to the in-process row+lane pipeline for every
+    /// worker count.
     ///
     /// # Errors
     ///
     /// [`ShardError::InvalidPlan`] when `pixels` is not a whole number
     /// of `width`-sized rows; otherwise as
     /// [`WorkerPool::evaluate_many`].
-    pub fn image_rows(
-        &mut self,
-        system: &OpticalScSystem,
-        sng: SngKind,
-        width: usize,
-        pixels: &[f64],
-        stream_length: usize,
-        seed: u64,
-    ) -> Result<Vec<OpticalRun>, ShardError> {
-        self.image_rows_faulted(system, sng, width, pixels, stream_length, seed, None)
-    }
-
-    /// [`WorkerPool::image_rows`] under an optional fault process,
-    /// rebased per pixel by global row then column — byte-identical to
-    /// the faulty in-process row+lane pipeline for every worker count.
-    ///
-    /// # Errors
-    ///
-    /// As [`WorkerPool::image_rows`].
     #[allow(clippy::too_many_arguments)]
-    pub fn image_rows_faulted(
+    pub fn image_rows(
         &mut self,
         system: &OpticalScSystem,
         sng: SngKind,
@@ -822,7 +787,7 @@ impl WorkerPool {
     /// Kills and replaces worker `w` with a fresh process (empty cache
     /// mirror), backing off exponentially (base 10 ms, cap 1 s) on
     /// consecutive respawns of the same slot so a crash-looping worker
-    /// binary cannot spin the coordinator at full speed.
+    /// binary cannot spin the pool at full speed.
     fn respawn(&mut self, w: usize) -> Result<(), String> {
         let streak = self.respawn_streaks[w];
         if streak > 0 {
@@ -921,13 +886,6 @@ fn slot_read(
     let response = match decode_response_v2(&payload) {
         Ok(response) => response,
         Err(e) => {
-            // A v1-only worker answers v2 frames with a clean v1
-            // error; surface its message instead of "malformed".
-            if let Ok(super::ShardResponse::Error(msg)) = super::decode_response(&payload) {
-                return Ok(Settled::Remote(format!(
-                    "worker speaks protocol v1 only: {msg}"
-                )));
-            }
             return Err(Failure::Transport(format!("malformed response: {e}")));
         }
     };

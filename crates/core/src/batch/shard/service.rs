@@ -26,10 +26,9 @@
 
 use super::pool::{note_digest, PoolDispatcher};
 use super::{
-    circuit_digest, circuit_key, decode_request_v2, decode_response, decode_response_v2,
-    encode_request_v2, encode_response, encode_response_v2, peek_request_id, read_frame,
-    write_frame, CircuitRef, ShardError, ShardRequest, ShardResponse, ShardResponseV2,
-    CIRCUIT_CACHE_CAPACITY, PROTOCOL_VERSION_V2, PROTOCOL_VERSION_V3, REQUEST_MAGIC,
+    circuit_digest, circuit_key, decode_or_refuse, decode_response_v2, encode_request_v2,
+    encode_response_v2, read_frame, write_frame, CircuitRef, ShardError, ShardRequest,
+    ShardResponseV2, CIRCUIT_CACHE_CAPACITY,
 };
 use crate::params::CircuitParams;
 use crate::system::OpticalRun;
@@ -242,28 +241,11 @@ fn answer_connection_frame(
     circuits: &mut VecDeque<ConnCircuit>,
     shared: &ServiceShared,
 ) -> Vec<u8> {
-    let is_v2_family = payload.len() >= 8
-        && payload[..4] == REQUEST_MAGIC.to_le_bytes()
-        && (payload[4..8] == PROTOCOL_VERSION_V2.to_le_bytes()
-            || payload[4..8] == PROTOCOL_VERSION_V3.to_le_bytes());
-    if !is_v2_family {
-        // v1 (or garbage) carries no request id, so desyncs on a
-        // shared transport would be silent — refuse as a clean v1
-        // error value and keep the connection open.
-        return encode_response(&ShardResponse::Error(
-            "this service requires protocol v2/v3 (request ids); \
-             v1 one-shot framing is not accepted over TCP"
-                .to_string(),
-        ));
-    }
-    let req = match decode_request_v2(payload) {
+    // Anything outside v2/v3 gets the ID-0 refusal, exactly as on a
+    // worker pipe; the connection stays open either way.
+    let req = match decode_or_refuse(payload) {
         Ok(req) => req,
-        Err(e) => {
-            return encode_response_v2(&ShardResponseV2::Error {
-                request_id: peek_request_id(payload),
-                message: format!("bad request: {e}"),
-            })
-        }
+        Err(refusal) => return encode_response_v2(&refusal),
     };
     let request_id = req.request_id;
     let (params, coeffs) = match req.circuit {
@@ -506,21 +488,8 @@ impl ServiceClient {
                          reconnect — any replica answers byte-identically"
                     .to_string(),
             })?;
-        let response = match decode_response_v2(&payload) {
-            Ok(response) => response,
-            Err(e) => {
-                // The v1 refusal path answers with a clean v1 error.
-                if let Ok(ShardResponse::Error(message)) = decode_response(&payload) {
-                    return Err(ShardError::Remote {
-                        shard: 0,
-                        detail: message,
-                    });
-                }
-                return Err(ShardError::Protocol(format!(
-                    "malformed service response: {e}"
-                )));
-            }
-        };
+        let response = decode_response_v2(&payload)
+            .map_err(|e| ShardError::Protocol(format!("malformed service response: {e}")))?;
         let (request_id, settled) = match response {
             ShardResponseV2::Runs { request_id, runs } => {
                 if runs.len() != expected {

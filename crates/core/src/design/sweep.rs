@@ -24,7 +24,7 @@
 //! every serving tier evaluates the candidate's probe batch through the
 //! proven-equivalent entrypoints — the same
 //! [`crate::batch::shard::evaluate_batch_in_process`] dispatch point
-//! the workers run, a [`ShardCoordinator`], a
+//! the workers run, a [`WorkerPool`] spawned per candidate, a
 //! [`WorkerPool::run_requests`] stream (one [`ShardRequest::batch`] per
 //! candidate, `first_index` 0), or a TCP [`ServiceClient`]. Design
 //! solving, the energy/area join, Pareto extraction and the canonical
@@ -53,11 +53,9 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::backend::BackendKind;
-use crate::batch::shard::pool::WorkerPool;
+use crate::batch::shard::pool::{PoolConfig, WorkerPool};
 use crate::batch::shard::service::ServiceClient;
-use crate::batch::shard::{
-    evaluate_batch_in_process, ShardCoordinator, ShardError, ShardRequest, SngKind,
-};
+use crate::batch::shard::{evaluate_batch_in_process, ShardError, ShardRequest, SngKind};
 use crate::batch::{mix_seed, BatchEvaluator};
 use crate::design::mzi_first::{MziFirstDesign, MziFirstInputs};
 use crate::energy::{EnergyAssumptions, EnergyModel};
@@ -289,8 +287,9 @@ pub enum SweepMode<'a> {
     /// In this process, through the worker dispatch point
     /// ([`evaluate_batch_in_process`]).
     InProcess(&'a BatchEvaluator),
-    /// Spawn-per-call subprocess sharding.
-    Spawn(&'a ShardCoordinator),
+    /// Spawn-per-call subprocess sharding: a fresh pool spawned from
+    /// the config for every candidate, dropped after its one call.
+    Spawn(&'a PoolConfig),
     /// A persistent worker pool; all candidates stream through one
     /// pipelined [`WorkerPool::run_requests`] call — the many-distinct-
     /// circuits profile the digest-keyed circuit cache was built for.
@@ -455,16 +454,17 @@ impl DesignSweep {
                 }
                 all
             }
-            SweepMode::Spawn(coordinator) => {
+            SweepMode::Spawn(config) => {
                 let mut all = Vec::with_capacity(self.designs.len());
                 for d in &self.designs {
                     let system = self.system(d)?;
-                    all.push(coordinator.evaluate_many(
+                    all.push(config.clone().spawn()?.evaluate_many(
                         &system,
                         d.candidate.sng,
                         &xs,
                         d.candidate.stream_length,
                         d.candidate.seed_for(self.axes.seed),
+                        None,
                     )?);
                 }
                 all

@@ -19,8 +19,8 @@
 
 use osc_core::backend::BackendKind;
 use osc_core::batch::shard::{
-    decode_response, encode_request, read_frame, serve, write_frame, ShardJob, ShardPlan,
-    ShardRequest, ShardResponse, SngKind,
+    decode_response_v2, encode_request_v2, read_frame, serve, write_frame, ShardJob, ShardPlan,
+    ShardRequest, ShardResponseV2, SngKind,
 };
 use osc_core::batch::BatchEvaluator;
 use osc_core::fault::FaultSpec;
@@ -125,7 +125,8 @@ fn sharded_equals_unsharded_for_every_backend() {
     // Every partition of a 13-item batch through the in-memory worker
     // loop must merge to the single-process batch — the wire protocol
     // round-trips the backend tag, the worker rebuilds the same
-    // physics, and the shard math is backend-blind.
+    // physics, and the shard math is backend-blind. Clean requests
+    // travel as v2 frames, requests carrying a rate-0 fault spec as v3.
     let n = 13usize;
     let xs: Vec<f64> = (0..n).map(|i| i as f64 / (n - 1) as f64).collect();
     let stream_length = 200usize;
@@ -135,7 +136,10 @@ fn sharded_equals_unsharded_for_every_backend() {
             let reference = BatchEvaluator::with_threads(2)
                 .evaluate_many(&system, &xs, stream_length, XoshiroSng::new, seed)
                 .unwrap();
-            for shards in [1usize, 2, 5] {
+            for (shards, faults) in [1usize, 2, 5]
+                .into_iter()
+                .flat_map(|s| [(s, None), (s, Some(FaultSpec::flips(0.0, 3)))])
+            {
                 let plan = ShardPlan::new(n, shards);
                 let mut merged = Vec::with_capacity(n);
                 for &(start, len) in plan.ranges() {
@@ -145,23 +149,24 @@ fn sharded_equals_unsharded_for_every_backend() {
                         sng: SngKind::Xoshiro,
                         seed,
                         stream_length: stream_length as u64,
-                        faults: None,
+                        faults,
                         job: ShardJob::Batch {
                             first_index: start as u64,
                             xs: xs[start..start + len].to_vec(),
                         },
                     };
                     let mut input = Vec::new();
-                    write_frame(&mut input, &encode_request(&req)).unwrap();
+                    write_frame(&mut input, &encode_request_v2(&req, 1, None)).unwrap();
                     let mut output = Vec::new();
                     serve(&input[..], &mut output).unwrap();
                     let payload = read_frame(&mut &output[..]).unwrap().expect("one response");
-                    match decode_response(&payload).unwrap() {
-                        ShardResponse::Runs(runs) => merged.extend(runs),
-                        ShardResponse::Error(msg) => panic!("{label}: worker error: {msg}"),
+                    match decode_response_v2(&payload).unwrap() {
+                        ShardResponseV2::Runs { runs, .. } => merged.extend(runs),
+                        other => panic!("{label}: worker answered {other:?}"),
                     }
                 }
-                assert_eq!(merged, reference, "{label}, shards={shards}");
+                let version = if faults.is_some() { "v3" } else { "v2" };
+                assert_eq!(merged, reference, "{label}, shards={shards}, {version}");
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Pool hardening against misbehaving workers: a worker that accepts
 //! requests but never answers must surface as a
 //! [`ShardError::Timeout`] value within the configured deadline, and
-//! every child process the pool (or a one-shot coordinator) spawned
+//! every child process the pool (or a spawn-per-call pool) spawned
 //! must be killed **and reaped** when the owner goes away — including
 //! when the owning thread unwinds from a panic — so a long-lived
 //! service never accumulates zombies.
@@ -12,7 +12,7 @@
 #![cfg(unix)]
 
 use osc_core::batch::shard::pool::PoolConfig;
-use osc_core::batch::shard::{ShardCoordinator, ShardError, SngKind};
+use osc_core::batch::shard::{ShardError, SngKind};
 use osc_core::params::CircuitParams;
 use osc_core::system::OpticalScSystem;
 use osc_stochastic::bernstein::BernsteinPoly;
@@ -69,7 +69,7 @@ fn stalled_worker_times_out_as_a_value_within_the_deadline() {
         .unwrap();
     let started = Instant::now();
     let err = pool
-        .evaluate_many(&system, SngKind::Xoshiro, &[0.5], 64, 1)
+        .evaluate_many(&system, SngKind::Xoshiro, &[0.5], 64, 1, None)
         .unwrap_err();
     let elapsed = started.elapsed();
     assert!(
@@ -87,7 +87,7 @@ fn stalled_worker_times_out_as_a_value_within_the_deadline() {
     // The pool is still usable as a value — the next call fails the
     // same way instead of panicking or hanging forever.
     let again = pool
-        .evaluate_many(&system, SngKind::Xoshiro, &[0.5], 64, 1)
+        .evaluate_many(&system, SngKind::Xoshiro, &[0.5], 64, 1, None)
         .unwrap_err();
     assert!(matches!(again, ShardError::Timeout { .. }), "{again}");
     drop(pool);
@@ -131,7 +131,7 @@ fn panicking_caller_leaves_no_zombies() {
         let system = fig5_system();
         // The stalled worker times out; the caller treats that as fatal
         // and panics with the pool still holding live children.
-        pool.evaluate_many(&system, SngKind::Xoshiro, &[0.5], 64, 1)
+        pool.evaluate_many(&system, SngKind::Xoshiro, &[0.5], 64, 1, None)
             .unwrap();
         unreachable!("the stalled pool cannot produce runs");
     }));
@@ -146,16 +146,19 @@ fn panicking_caller_leaves_no_zombies() {
 
 #[test]
 fn coordinator_error_paths_leave_no_zombies() {
-    // A one-shot coordinator run against stalling workers must fail as
-    // a value and reap every subprocess it spawned on the way out.
+    // A spawn-per-call run — a pool spawned for one call and dropped
+    // after it — against stalling workers must fail as a value and reap
+    // every subprocess it spawned on the way out.
     let stub = stalling_stub("coordinator");
     let system = fig5_system();
-    let coordinator = ShardCoordinator::new(&stub, 2)
+    let config = PoolConfig::new(&stub, 2)
         .with_retries(0)
         .with_read_timeout(Duration::from_millis(200));
     let before: Vec<u32> = our_children();
-    let err = coordinator
-        .evaluate_many(&system, SngKind::Xoshiro, &[0.25, 0.75], 64, 3)
+    let err = config
+        .spawn()
+        .unwrap()
+        .evaluate_many(&system, SngKind::Xoshiro, &[0.25, 0.75], 64, 3, None)
         .unwrap_err();
     assert!(
         matches!(err, ShardError::Timeout { .. } | ShardError::Worker { .. }),
@@ -165,7 +168,7 @@ fn coordinator_error_paths_leave_no_zombies() {
     // zombie.
     for pid in our_children() {
         if !before.contains(&pid) {
-            assert!(!is_our_zombie(pid), "coordinator left zombie {pid}");
+            assert!(!is_our_zombie(pid), "spawn-per-call run left zombie {pid}");
         }
     }
     let _ = std::fs::remove_file(&stub);

@@ -7,15 +7,15 @@
 //! These tests drive [`osc_core::batch::shard::serve`] over in-memory
 //! pipes, so they pin the whole protocol path (encode → decode → worker
 //! evaluation → encode → decode) without spawning processes; the
-//! subprocess coordinator itself is exercised end to end by the
-//! `osc-bench` integration suite, which owns the worker binary.
+//! subprocess pool itself is exercised end to end by the `osc-bench`
+//! integration suite, which owns the worker binary.
 
 use osc_core::batch::shard::{
-    circuit_digest, decode_response, decode_response_v2, encode_request, encode_request_v2,
-    read_frame, serve, write_frame, ShardJob, ShardPlan, ShardRequest, ShardResponse,
-    ShardResponseV2, SngKind, CIRCUIT_CACHE_CAPACITY,
+    circuit_digest, decode_response_v2, encode_request_v2, read_frame, serve, write_frame,
+    ShardJob, ShardPlan, ShardRequest, ShardResponseV2, SngKind, CIRCUIT_CACHE_CAPACITY,
 };
 use osc_core::batch::BatchEvaluator;
+use osc_core::fault::FaultSpec;
 use osc_core::params::CircuitParams;
 use osc_core::system::{OpticalRun, OpticalScSystem};
 use osc_stochastic::bernstein::BernsteinPoly;
@@ -43,17 +43,17 @@ fn noisy_system() -> OpticalScSystem {
     system
 }
 
-/// Runs one request through the in-memory worker loop.
+/// Runs one request through the in-memory worker loop as an inline
+/// frame.
 fn serve_one(req: &ShardRequest) -> Vec<OpticalRun> {
     let mut input = Vec::new();
-    write_frame(&mut input, &encode_request(req)).unwrap();
+    write_frame(&mut input, &encode_request_v2(req, 1, None)).unwrap();
     let mut output = Vec::new();
     serve(&input[..], &mut output).unwrap();
     let payload = read_frame(&mut &output[..]).unwrap().expect("one response");
-    match decode_response(&payload).unwrap() {
-        ShardResponse::Runs(runs) => runs,
-        ShardResponse::Error(msg) => panic!("worker error: {msg}"),
-    }
+    let (id, runs) = v2_runs(&payload);
+    assert_eq!(id, 1);
+    runs
 }
 
 /// The single-process reference with the factory the wire protocol pins
@@ -147,10 +147,11 @@ fn v2_runs(payload: &[u8]) -> (u64, Vec<OpticalRun>) {
 }
 
 #[test]
-fn v2_requests_match_v1_and_the_single_process_reference() {
-    // The same request through the v1 frame, the v2 inline frame and
-    // the v2 cached-reference frame must produce identical runs — and
-    // all of them the single-process reference bytes.
+fn v2_and_v3_requests_match_the_single_process_reference() {
+    // The same request through the v2 inline frame, the v2
+    // cached-reference frame and both forms again as v3 frames carrying
+    // a rate-0 fault spec must produce identical runs — all of them the
+    // single-process reference bytes.
     let system = clean_system();
     let xs: Vec<f64> = (0..9).map(|i| i as f64 / 8.0).collect();
     let reference = reference_runs(&system, SngKind::Xoshiro, &xs, 160, 21);
@@ -166,23 +167,30 @@ fn v2_requests_match_v1_and_the_single_process_reference() {
             xs: xs.clone(),
         },
     };
-    let digest = circuit_digest(&req.params, &req.coeffs);
-    let responses = serve_frames(&[
-        encode_request(&req),                       // v1
-        encode_request_v2(&req, 101, None),         // v2 inline (caches the circuit)
-        encode_request_v2(&req, 102, Some(digest)), // v2 cached reference (hit)
-    ]);
-    let v1 = match decode_response(&responses[0]).unwrap() {
-        ShardResponse::Runs(runs) => runs,
-        ShardResponse::Error(msg) => panic!("v1 worker error: {msg}"),
+    let inert = ShardRequest {
+        faults: Some(FaultSpec::flips(0.0, 5)),
+        ..req.clone()
     };
-    let (id_inline, inline) = v2_runs(&responses[1]);
-    let (id_cached, cached) = v2_runs(&responses[2]);
-    assert_eq!(id_inline, 101);
-    assert_eq!(id_cached, 102);
-    assert_eq!(v1, reference, "v1 ≡ single-process");
-    assert_eq!(inline, reference, "v2 inline ≡ single-process");
-    assert_eq!(cached, reference, "v2 cache hit ≡ single-process");
+    let digest = circuit_digest(&req.params, &req.coeffs);
+    let frames = [
+        encode_request_v2(&req, 101, None), // v2 inline (caches the circuit)
+        encode_request_v2(&req, 102, Some(digest)), // v2 cached reference (hit)
+        encode_request_v2(&inert, 103, None), // v3 inline
+        encode_request_v2(&inert, 104, Some(digest)), // v3 cached reference (hit)
+    ];
+    for (frame, version) in frames.iter().zip([2u32, 2, 3, 3]) {
+        assert_eq!(frame[4..8], version.to_le_bytes());
+    }
+    let responses = serve_frames(&frames);
+    for (i, (payload, label)) in responses
+        .iter()
+        .zip(["v2 inline", "v2 cache hit", "v3 inline", "v3 cache hit"])
+        .enumerate()
+    {
+        let (id, runs) = v2_runs(payload);
+        assert_eq!(id, 101 + i as u64, "{label}");
+        assert_eq!(runs, reference, "{label} ≡ single-process");
+    }
 }
 
 #[test]

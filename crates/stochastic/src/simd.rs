@@ -17,9 +17,9 @@
 //!
 //! | engine | serves | AVX-512 path | AVX2 path | extra gates |
 //! |---|---|---|---|---|
-//! | [`xoshiro_drain_chains`] | `XoshiroSng` | `vprolq` + `vpcmpuq` k-masks | shift-or rotates + sign-bias `vpcmpgtq` | `bmi2` |
-//! | [`splitmix_drain_chains`] | `ChaoticLaserSng` | `vpmullq` mix (needs `avx512dq`) | `vpmuludq` split multiply | `bmi2` |
-//! | [`counter_drain_chains`] | `CounterSng` (base-2 mode) | `vgf2p8affineqb` bit-reverse + `vpcmpuq` | GFNI VEX reverse or shared scalar reverse | — |
+//! | `xoshiro_drain_chains` | `XoshiroSng` | `vprolq` + `vpcmpuq` k-masks | shift-or rotates + sign-bias `vpcmpgtq` | `bmi2` |
+//! | `splitmix_drain_chains` | `ChaoticLaserSng` | `vpmullq` mix (needs `avx512dq`) | `vpmuludq` split multiply | `bmi2` |
+//! | `counter_drain_chains` | `CounterSng` (base-2 mode) | `vgf2p8affineqb` bit-reverse + `vpcmpuq` | GFNI VEX reverse or shared scalar reverse | — |
 //! | [`popcount_lanes_accumulate`] | count-plane fold | `vpopcntq` | nibble-LUT `vpshufb` + `vpsadbw` | — |
 //! | [`assemble_indices16`] | noisy-tier index assembly | `vpmovm2w` mask broadcast (needs `avx512bw`) | — (scalar fallback) | — |
 //!
