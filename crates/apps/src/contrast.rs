@@ -56,41 +56,20 @@ pub fn run_contrast_par<B: PixelBackend + Sync>(
     Ok((produced, mae))
 }
 
-/// [`run_contrast`] with row- **and lane-**parallel pixel evaluation on
-/// the optical backend (see
-/// [`crate::gamma_app::apply_optical_lanes`]).
+/// [`run_contrast`] on the optical backend through any serving tier
+/// (see [`crate::gamma_app::apply_optical`]): the produced image is
+/// byte-identical across tiers.
 ///
 /// # Errors
 ///
-/// Propagates backend failures.
-pub fn run_contrast_lanes(
+/// Propagates evaluation, pool and service failures.
+pub fn run_contrast_optical(
     image: &Image,
     backend: &crate::backend::OpticalBackend,
-    evaluator: &osc_core::batch::BatchEvaluator,
+    executor: &mut osc_core::batch::shard::Executor<'_>,
 ) -> Result<(Image, f64), AppError> {
     let reference = image.map(smoothstep);
-    let produced = crate::gamma_app::apply_optical_lanes(image, backend, evaluator)?;
-    let mae = produced.mae(&reference)?;
-    Ok((produced, mae))
-}
-
-/// [`run_contrast`] with process-sharded row evaluation on a
-/// [`osc_core::batch::shard::pool::WorkerPool`] (see
-/// [`crate::gamma_app::apply_optical_pooled`]): the produced image is
-/// byte-identical to [`run_contrast_lanes`]' for every worker count,
-/// and spawn + circuit construction are paid once per pool, not per
-/// call.
-///
-/// # Errors
-///
-/// Propagates pool and backend failures.
-pub fn run_contrast_pooled(
-    image: &Image,
-    backend: &crate::backend::OpticalBackend,
-    pool: &mut osc_core::batch::shard::pool::WorkerPool,
-) -> Result<(Image, f64), AppError> {
-    let reference = image.map(smoothstep);
-    let produced = crate::gamma_app::apply_optical_pooled(image, backend, pool)?;
+    let produced = crate::gamma_app::apply_optical(image, backend, executor, None)?;
     let mae = produced.mae(&reference)?;
     Ok((produced, mae))
 }
@@ -149,13 +128,21 @@ mod tests {
     #[test]
     fn lane_blocked_contrast_matches_thread_counts_and_quality() {
         use crate::backend::OpticalBackend;
+        use osc_core::batch::shard::Executor;
         use osc_core::batch::BatchEvaluator;
         use osc_core::params::CircuitParams;
         let img = Image::blobs(12, 6);
         let params = CircuitParams::paper_fig7(3, osc_units::Nanometers::new(0.2));
         let b = OpticalBackend::new(params, smoothstep_poly(), 4096, 5).unwrap();
-        let (img1, mae1) = run_contrast_lanes(&img, &b, &BatchEvaluator::with_threads(1)).unwrap();
-        let (img4, mae4) = run_contrast_lanes(&img, &b, &BatchEvaluator::with_threads(4)).unwrap();
+        let on = |threads| {
+            run_contrast_optical(
+                &img,
+                &b,
+                &mut Executor::InProcess(&BatchEvaluator::with_threads(threads)),
+            )
+            .unwrap()
+        };
+        let ((img1, mae1), (img4, mae4)) = (on(1), on(4));
         assert_eq!(img1, img4);
         assert_eq!(mae1, mae4);
         assert!(mae1 < 0.03, "mae {mae1}");

@@ -9,12 +9,10 @@ use crate::backend::{throughput_evals_per_second, OpticalBackend, PixelBackend};
 use crate::image::Image;
 use crate::AppError;
 use osc_core::batch::shard::pool::WorkerPool;
-use osc_core::batch::shard::SngKind;
-use osc_core::batch::{evaluate_lane_block_faulted, lane_blocks, mix_seed, BatchEvaluator};
+use osc_core::batch::shard::{Executor, Job, SngKind};
+use osc_core::batch::BatchEvaluator;
 use osc_core::fault::FaultSpec;
-use osc_core::system::EvalScratch;
 use osc_stochastic::gamma::{fit_gamma_bernstein, gamma_exact, DISPLAY_GAMMA, PAPER_GAMMA_DEGREE};
-use osc_stochastic::sng::XoshiroSng;
 
 /// Result of running gamma correction on one backend.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,133 +70,39 @@ pub fn apply_backend_par<B: PixelBackend + Sync>(
     Image::new(width, image.height(), out)
 }
 
-/// Applies the optical backend's polynomial to every pixel with **two
-/// levels of parallelism**: image rows fan across the
-/// [`BatchEvaluator`]'s workers (thread level), and within a row pixels
-/// run through the lane-blocked fused kernel
+/// Applies the optical backend's polynomial to every pixel on any
+/// serving tier: the whole image is one [`Job`] run by `executor`.
+///
+/// In process, image rows fan across the [`BatchEvaluator`]'s workers
+/// (thread level) and within a row pixels run through the lane-blocked
+/// fused kernel
 /// ([`osc_core::system::OpticalScSystem::evaluate_fused_lanes`]) in
 /// register groups of 8/4/2/1 (SIMD/ILP level) — the image-pipeline form
-/// of the paper's Section V.C lane bank.
+/// of the paper's Section V.C lane bank. Pooled, the rows additionally
+/// shard across the worker *subprocesses*, each evaluating its rows with
+/// their global row indices.
 ///
 /// Each pixel gets its own generator universe derived as
-/// `mix_seed(mix_seed(backend seed, row), column)`, so the output is a
-/// pure function of the backend's seed and the image — identical for
-/// every thread count *and* every lane-block decomposition (pinned by
-/// the tests against per-pixel fused evaluation). Note the per-pixel
-/// seeding differs from [`apply_backend_par`]'s sequential per-row
-/// generator chain, so the two pipelines produce statistically
-/// equivalent but not bit-equal images.
+/// `mix_seed(mix_seed(backend seed, row), column)` with Xoshiro sources,
+/// and an optional fault spec rebases by global row then column
+/// ([`FaultSpec::rebased`]). So the output — faulty or clean — is a pure
+/// function of the backend's seed and the image: **byte-identical**
+/// across tiers, thread counts, lane decompositions, SIMD tiers and
+/// worker counts. Note the per-pixel seeding differs from
+/// [`apply_backend_par`]'s sequential per-row generator chain, so the two
+/// pipelines produce statistically equivalent but not bit-equal images.
 ///
 /// # Errors
 ///
-/// Propagates backend failures (first failing row by index order).
-pub fn apply_optical_lanes(
+/// Propagates evaluation failures (an invalid fault spec included) and,
+/// off-process, pool and service failures ([`AppError::Shard`]).
+pub fn apply_optical(
     image: &Image,
     backend: &OpticalBackend,
-    evaluator: &BatchEvaluator,
-) -> Result<Image, AppError> {
-    apply_optical_lanes_faulted(image, backend, evaluator, None)
-}
-
-/// [`apply_optical_lanes`] under an optional per-stream fault process:
-/// each pixel's spec rebases by global row then column
-/// ([`FaultSpec::rebased`]), mirroring the generator derivation — so
-/// faulty output, like clean output, is identical across thread counts,
-/// lane decompositions, SIMD tiers and (via the pooled variants)
-/// worker counts.
-///
-/// # Errors
-///
-/// Propagates backend failures (first failing row by index order); an
-/// invalid fault spec fails on the first row evaluated.
-pub fn apply_optical_lanes_faulted(
-    image: &Image,
-    backend: &OpticalBackend,
-    evaluator: &BatchEvaluator,
+    executor: &mut Executor<'_>,
     faults: Option<&FaultSpec>,
 ) -> Result<Image, AppError> {
-    let width = image.width();
-    let rows: Vec<usize> = (0..image.height()).collect();
-    // Every row decomposes identically; compute the blocks once.
-    let blocks = lane_blocks(width);
-    let produced = evaluator.par_map_with(&rows, EvalScratch::new, |scratch, _, &y| {
-        let row_seed = mix_seed(backend.seed(), y as u64);
-        let row_spec = faults.map(|spec| spec.rebased(y as u64));
-        let pixels = &image.pixels()[y * width..(y + 1) * width];
-        let mut out_row = Vec::with_capacity(width);
-        for &(start, bw) in &blocks {
-            let mut xs = [0.0f64; 8];
-            for (slot, &p) in xs.iter_mut().zip(&pixels[start..start + bw]) {
-                *slot = p.clamp(0.0, 1.0);
-            }
-            // The shared lane-block evaluator keeps the pixel pipeline's
-            // generator derivation identical to the batch convention.
-            let runs = evaluate_lane_block_faulted(
-                backend.system(),
-                &xs[..bw],
-                backend.stream_length(),
-                &XoshiroSng::new,
-                |k| mix_seed(row_seed, (start + k) as u64),
-                row_spec
-                    .as_ref()
-                    .map(|spec| move |k: usize| spec.rebased((start + k) as u64)),
-                scratch,
-            )?;
-            out_row.extend(runs.iter().map(|r| r.estimate.clamp(0.0, 1.0)));
-        }
-        Ok::<Vec<f64>, AppError>(out_row)
-    });
-    let mut out = Vec::with_capacity(image.pixels().len());
-    for row in produced {
-        out.extend(row?);
-    }
-    Image::new(width, image.height(), out)
-}
-
-/// Applies the optical backend's polynomial to every pixel with **three
-/// levels of parallelism**: image rows shard across the worker
-/// *subprocesses* of a [`WorkerPool`] (the [`osc_core::batch::shard`]
-/// wire protocol), rows fan across each worker's threads, and within a
-/// row pixels run through the lane-blocked fused kernel — the scale-out
-/// form of the paper's Section V.C lane bank.
-///
-/// The per-pixel generator universes are exactly
-/// [`apply_optical_lanes`]' (`mix_seed(mix_seed(backend seed, row),
-/// column)` with Xoshiro sources), and every worker evaluates its rows
-/// with their *global* row indices, so the output is **byte-identical**
-/// to [`apply_optical_lanes`] — and therefore identical for every
-/// worker count — not merely statistically equivalent. Held across
-/// calls, the pool keeps its processes and cached circuits alive; a
-/// pool spawned for one call and dropped is the spawn-per-call
-/// baseline.
-///
-/// # Errors
-///
-/// Propagates pool failures ([`AppError::Shard`]: dead workers after
-/// respawn + retries, protocol violations) and evaluation errors
-/// reported by workers.
-pub fn apply_optical_pooled(
-    image: &Image,
-    backend: &OpticalBackend,
-    pool: &mut WorkerPool,
-) -> Result<Image, AppError> {
-    apply_optical_pooled_faulted(image, backend, pool, None)
-}
-
-/// [`apply_optical_pooled`] under an optional fault process —
-/// byte-identical to [`apply_optical_lanes_faulted`] for every worker
-/// count.
-///
-/// # Errors
-///
-/// As [`apply_optical_pooled`].
-pub fn apply_optical_pooled_faulted(
-    image: &Image,
-    backend: &OpticalBackend,
-    pool: &mut WorkerPool,
-    faults: Option<&FaultSpec>,
-) -> Result<Image, AppError> {
-    let runs = pool.image_rows(
+    let job = Job::image(
         backend.system(),
         SngKind::Xoshiro,
         image.width(),
@@ -206,12 +110,56 @@ pub fn apply_optical_pooled_faulted(
         backend.stream_length(),
         backend.seed(),
         faults,
-    )?;
+    );
+    let runs = executor.run(&[job])?;
     Image::new(
         image.width(),
         image.height(),
-        runs.iter().map(|r| r.estimate.clamp(0.0, 1.0)).collect(),
+        runs.iter()
+            .flatten()
+            .map(|r| r.estimate.clamp(0.0, 1.0))
+            .collect(),
     )
+}
+
+/// [`apply_optical`] in process, fault-free.
+///
+/// # Errors
+///
+/// As [`apply_optical`].
+pub fn apply_optical_lanes(
+    image: &Image,
+    backend: &OpticalBackend,
+    evaluator: &BatchEvaluator,
+) -> Result<Image, AppError> {
+    apply_optical(image, backend, &mut Executor::InProcess(evaluator), None)
+}
+
+/// [`apply_optical`] in process.
+///
+/// # Errors
+///
+/// As [`apply_optical`].
+pub fn apply_optical_lanes_faulted(
+    image: &Image,
+    backend: &OpticalBackend,
+    evaluator: &BatchEvaluator,
+    faults: Option<&FaultSpec>,
+) -> Result<Image, AppError> {
+    apply_optical(image, backend, &mut Executor::InProcess(evaluator), faults)
+}
+
+/// [`apply_optical`] on a persistent pool, fault-free.
+///
+/// # Errors
+///
+/// As [`apply_optical`].
+pub fn apply_optical_pooled(
+    image: &Image,
+    backend: &OpticalBackend,
+    pool: &mut WorkerPool,
+) -> Result<Image, AppError> {
+    apply_optical(image, backend, &mut Executor::Pool(pool), None)
 }
 
 /// Runs gamma correction on a backend and reports quality + throughput
@@ -255,42 +203,19 @@ pub fn run_gamma_par<B: PixelBackend + Sync>(
     })
 }
 
-/// [`run_gamma`] with row- **and lane-**parallel pixel evaluation (see
-/// [`apply_optical_lanes`]).
+/// [`run_gamma`] on the optical backend through any serving tier (see
+/// [`apply_optical`]): the report is byte-identical across tiers.
 ///
 /// # Errors
 ///
-/// Propagates backend failures.
-pub fn run_gamma_lanes(
+/// Propagates evaluation, pool and service failures.
+pub fn run_gamma_optical(
     image: &Image,
     backend: &OpticalBackend,
-    evaluator: &BatchEvaluator,
+    executor: &mut Executor<'_>,
 ) -> Result<GammaRunReport, AppError> {
     let reference = image.map(|p| gamma_exact(p, DISPLAY_GAMMA));
-    let produced = apply_optical_lanes(image, backend, evaluator)?;
-    Ok(GammaRunReport {
-        backend: backend.name().to_string(),
-        psnr_db: produced.psnr_db(&reference)?,
-        mae: produced.mae(&reference)?,
-        evals_per_second: throughput_evals_per_second(backend),
-    })
-}
-
-/// [`run_gamma`] with process-sharded row evaluation on a [`WorkerPool`]
-/// (see [`apply_optical_pooled`]): the report's quality numbers are
-/// computed from an image byte-identical to [`run_gamma_lanes`]' for
-/// every worker count.
-///
-/// # Errors
-///
-/// Propagates pool and backend failures.
-pub fn run_gamma_pooled(
-    image: &Image,
-    backend: &OpticalBackend,
-    pool: &mut WorkerPool,
-) -> Result<GammaRunReport, AppError> {
-    let reference = image.map(|p| gamma_exact(p, DISPLAY_GAMMA));
-    let produced = apply_optical_pooled(image, backend, pool)?;
+    let produced = apply_optical(image, backend, executor, None)?;
     Ok(GammaRunReport {
         backend: backend.name().to_string(),
         psnr_db: produced.psnr_db(&reference)?,
@@ -312,7 +237,10 @@ pub fn paper_gamma_polynomial() -> Result<osc_stochastic::bernstein::BernsteinPo
 mod tests {
     use super::*;
     use crate::backend::{ElectronicBackend, ExactBackend};
+    use osc_core::batch::mix_seed;
+    use osc_core::system::EvalScratch;
     use osc_math::rng::Xoshiro256PlusPlus;
+    use osc_stochastic::sng::XoshiroSng;
 
     #[test]
     fn exact_backend_matches_polynomial_not_map() {
@@ -407,7 +335,7 @@ mod tests {
         let params = CircuitParams::paper_fig7(6, osc_units::Nanometers::new(0.165));
         let backend = OpticalBackend::new(params, poly, 2048, 7).unwrap();
         let ev = BatchEvaluator::with_threads(3);
-        let lanes = run_gamma_lanes(&img, &backend, &ev).unwrap();
+        let lanes = run_gamma_optical(&img, &backend, &mut Executor::InProcess(&ev)).unwrap();
         let rows = run_gamma_par(&img, &backend, &ev).unwrap();
         // Different per-pixel streams, same statistics.
         assert!(

@@ -70,6 +70,15 @@ impl From<osc_core::batch::shard::ShardError> for AppError {
     }
 }
 
+impl From<osc_core::batch::shard::ExecError> for AppError {
+    fn from(e: osc_core::batch::shard::ExecError) -> Self {
+        match e {
+            osc_core::batch::shard::ExecError::Circuit(e) => e.into(),
+            osc_core::batch::shard::ExecError::Shard(e) => e.into(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

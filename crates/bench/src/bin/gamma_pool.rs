@@ -44,10 +44,11 @@
 //! fault-universe determinism contract keeps faulty bytes identical
 //! across modes and worker counts too.
 
-use osc_bench::soak::{self, LoadConfig, SoakConfig, SoakMode};
+use osc_bench::soak::{self, LoadConfig, SoakConfig};
 use osc_core::backend::BackendKind;
-use osc_core::batch::shard::locate_worker;
 use osc_core::batch::shard::pool::PoolConfig;
+use osc_core::batch::shard::{locate_worker, Executor};
+use osc_core::batch::BatchEvaluator;
 use osc_core::fault::FaultSpec;
 
 fn fail(msg: &str) -> ! {
@@ -171,21 +172,27 @@ fn main() {
                 load.connections
             ),
         )
-    } else if workers == 0 {
-        let report = soak::run(&cfg, SoakMode::InProcess)
-            .unwrap_or_else(|e| fail(&format!("in-process soak: {e}")));
-        (report, "in-process".to_string())
-    } else if spawn_per_request {
-        let report = soak::run(&cfg, SoakMode::Spawn(&PoolConfig::new(worker(), workers)))
-            .unwrap_or_else(|e| fail(&format!("spawn-per-request soak: {e}")));
-        (report, format!("spawn-per-request({workers})"))
     } else {
-        let mut pool = PoolConfig::new(worker(), workers)
-            .spawn()
-            .unwrap_or_else(|e| fail(&format!("pool spawn: {e}")));
-        let report = soak::run(&cfg, SoakMode::Pool(&mut pool))
-            .unwrap_or_else(|e| fail(&format!("pooled soak: {e}")));
-        (report, format!("pool({workers})"))
+        let evaluator = BatchEvaluator::new();
+        let spawn_config;
+        let mut pool;
+        let (executor, mode_name) = if workers == 0 {
+            (Executor::InProcess(&evaluator), "in-process".to_string())
+        } else if spawn_per_request {
+            spawn_config = PoolConfig::new(worker(), workers);
+            (
+                Executor::Spawn(&spawn_config),
+                format!("spawn-per-request({workers})"),
+            )
+        } else {
+            pool = PoolConfig::new(worker(), workers)
+                .spawn()
+                .unwrap_or_else(|e| fail(&format!("pool spawn: {e}")));
+            (Executor::Pool(&mut pool), format!("pool({workers})"))
+        };
+        let report =
+            soak::run(&cfg, executor).unwrap_or_else(|e| fail(&format!("{mode_name} soak: {e}")));
+        (report, mode_name)
     };
     println!(
         "{}",

@@ -12,9 +12,10 @@
 //! trajectory instead of a single snapshot (see [`append_run`]).
 
 use crate::microbench::Harness;
+use osc_apps::gamma_app::apply_optical;
 use osc_core::backend::BackendKind;
-use osc_core::batch::shard::locate_worker;
 use osc_core::batch::shard::pool::PoolConfig;
+use osc_core::batch::shard::{locate_worker, Executor};
 use osc_core::batch::BatchEvaluator;
 use osc_core::params::CircuitParams;
 use osc_core::system::{EvalScratch, OpticalScSystem};
@@ -438,19 +439,24 @@ pub fn run(budget_ms: u64) -> KernelsReport {
             &mut harness,
             "gamma_64x64_order6_sharded",
             move || {
-                osc_apps::gamma_app::apply_optical_lanes(&image_s, &backend_s, &one_thread)
+                let mut in_process = Executor::InProcess(&one_thread);
+                apply_optical(&image_s, &backend_s, &mut in_process, None)
                     .unwrap()
                     .pixels()
                     .iter()
                     .sum()
             },
             move || {
-                let mut pool = spawn_config.clone().spawn().expect("pool spawns");
-                osc_apps::gamma_app::apply_optical_pooled(&image_s2, &backend_s2, &mut pool)
-                    .unwrap()
-                    .pixels()
-                    .iter()
-                    .sum()
+                apply_optical(
+                    &image_s2,
+                    &backend_s2,
+                    &mut Executor::Spawn(&spawn_config),
+                    None,
+                )
+                .unwrap()
+                .pixels()
+                .iter()
+                .sum()
             },
         ));
 
@@ -475,19 +481,28 @@ pub fn run(budget_ms: u64) -> KernelsReport {
             &mut harness,
             "gamma_64x64_order6_pooled",
             move || {
-                let mut pool = spawn_config_q.clone().spawn().expect("pool spawns");
-                osc_apps::gamma_app::apply_optical_pooled(&image_q, &backend_q, &mut pool)
-                    .unwrap()
-                    .pixels()
-                    .iter()
-                    .sum()
+                apply_optical(
+                    &image_q,
+                    &backend_q,
+                    &mut Executor::Spawn(&spawn_config_q),
+                    None,
+                )
+                .unwrap()
+                .pixels()
+                .iter()
+                .sum()
             },
             move || {
-                osc_apps::gamma_app::apply_optical_pooled(&image_q2, &backend_q2, &mut warm_pool)
-                    .unwrap()
-                    .pixels()
-                    .iter()
-                    .sum()
+                apply_optical(
+                    &image_q2,
+                    &backend_q2,
+                    &mut Executor::Pool(&mut warm_pool),
+                    None,
+                )
+                .unwrap()
+                .pixels()
+                .iter()
+                .sum()
             },
         ));
 
@@ -512,13 +527,13 @@ pub fn run(budget_ms: u64) -> KernelsReport {
             &mut harness,
             "pool_small_requests_1024",
             move || {
-                crate::soak::run(&soak_cfg, crate::soak::SoakMode::Spawn(&soak_spawn))
+                crate::soak::run(&soak_cfg, Executor::Spawn(&soak_spawn))
                     .unwrap()
                     .bytes
                     .len() as f64
             },
             move || {
-                crate::soak::run(&soak_cfg, crate::soak::SoakMode::Pool(&mut soak_pool))
+                crate::soak::run(&soak_cfg, Executor::Pool(&mut soak_pool))
                     .unwrap()
                     .bytes
                     .len() as f64
@@ -545,7 +560,7 @@ pub fn run(budget_ms: u64) -> KernelsReport {
             &mut harness,
             "service_soak",
             move || {
-                crate::soak::run(&svc_cfg, crate::soak::SoakMode::Spawn(&svc_spawn))
+                crate::soak::run(&svc_cfg, Executor::Spawn(&svc_spawn))
                     .unwrap()
                     .bytes
                     .len() as f64
@@ -585,7 +600,7 @@ pub fn run(budget_ms: u64) -> KernelsReport {
             "design_sweep_order_grid",
             move || {
                 grid_sweep
-                    .evaluate(crate::sweep::SweepMode::Spawn(&sweep_spawn))
+                    .evaluate(Executor::Spawn(&sweep_spawn))
                     .unwrap()
                     .iter()
                     .map(|p| p.mean_abs_error)
@@ -593,7 +608,7 @@ pub fn run(budget_ms: u64) -> KernelsReport {
             },
             move || {
                 grid_sweep2
-                    .evaluate(crate::sweep::SweepMode::Pool(&mut sweep_pool))
+                    .evaluate(Executor::Pool(&mut sweep_pool))
                     .unwrap()
                     .iter()
                     .map(|p| p.mean_abs_error)

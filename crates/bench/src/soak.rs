@@ -21,14 +21,12 @@
 
 use osc_apps::backend::OpticalBackend;
 use osc_apps::contrast::smoothstep_poly;
-use osc_apps::gamma_app::{self, paper_gamma_polynomial};
+use osc_apps::gamma_app::paper_gamma_polynomial;
 use osc_apps::image::Image;
 use osc_apps::AppError;
 use osc_core::backend::BackendKind;
-use osc_core::batch::shard::pool::{PoolConfig, WorkerPool};
 use osc_core::batch::shard::service::ServiceClient;
-use osc_core::batch::shard::{ShardRequest, SngKind};
-use osc_core::batch::BatchEvaluator;
+use osc_core::batch::shard::{Executor, Job, ShardRequest, SngKind};
 use osc_core::fault::FaultSpec;
 use osc_core::params::CircuitParams;
 use osc_core::system::OpticalRun;
@@ -50,10 +48,10 @@ pub struct SoakConfig {
     pub stream: usize,
     /// Optional fault process applied to every request (the fault-mode
     /// soak leg); `None` drives the clean pipeline. Faulty output is
-    /// byte-identical across [`SoakMode`]s exactly like clean output.
+    /// byte-identical across [`Executor`] arms exactly like clean output.
     pub fault: Option<FaultSpec>,
     /// Which transmission physics realizes every request's circuit.
-    /// Output for any backend is byte-identical across [`SoakMode`]s;
+    /// Output for any backend is byte-identical across [`Executor`] arms;
     /// the CI backend-matrix leg pins that per backend.
     pub backend: BackendKind,
 }
@@ -73,29 +71,12 @@ impl Default for SoakConfig {
     }
 }
 
-/// Which serving architecture evaluates the requests.
-pub enum SoakMode<'a> {
-    /// The unsharded in-process row+lane pipeline — the reference.
-    InProcess,
-    /// A persistent [`WorkerPool`]: spawn + circuit build paid once.
-    Pool(&'a mut WorkerPool),
-    /// A fresh [`WorkerPool`] spawned from the config per request and
-    /// dropped after it: spawn + circuit build paid on **every**
-    /// request — the baseline the persistent pool amortizes.
-    Spawn(&'a PoolConfig),
-    /// One [`ServiceClient`] connection to a running `osc_service`
-    /// front door: each request crosses the TCP framing once as a
-    /// whole-image job. For the multi-connection load generator see
-    /// [`run_service`].
-    Service(&'a mut ServiceClient),
-}
-
 /// What a soak run produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SoakReport {
     /// Every output pixel of every request, in request order, as
     /// little-endian IEEE-754 bit patterns — byte-identical across
-    /// [`SoakMode`]s.
+    /// [`Executor`] arms.
     pub bytes: Vec<u8>,
     /// Requests driven.
     pub requests: usize,
@@ -146,9 +127,8 @@ fn request_seed(r: usize) -> u64 {
     0x50C5 + 7919 * r as u64
 }
 
-/// The two per-schedule circuit backends every mode derives its
-/// per-request backends from (gamma on even requests, contrast on
-/// odd).
+/// The two circuits of the schedule (gamma on even requests, contrast
+/// on odd), built once.
 fn schedule_bases(cfg: &SoakConfig) -> Result<(OpticalBackend, OpticalBackend), AppError> {
     let gamma_base = OpticalBackend::new(
         CircuitParams::paper_fig7(6, Nanometers::new(0.165)).with_backend(cfg.backend),
@@ -165,43 +145,33 @@ fn schedule_bases(cfg: &SoakConfig) -> Result<(OpticalBackend, OpticalBackend), 
     Ok((gamma_base, contrast_base))
 }
 
-/// The backend of request `r`, derived from the schedule bases by the
-/// cheap table-reusing `with_seed` clone — the same way a real service
-/// front-end would.
-fn request_backend(bases: &(OpticalBackend, OpticalBackend), r: usize) -> OpticalBackend {
-    if r.is_multiple_of(2) {
-        bases.0.with_seed(request_seed(r))
-    } else {
-        bases.1.with_seed(request_seed(r))
-    }
-}
-
-/// The wire form of request `r`: the whole frame as one
-/// [`ShardJob::ImageRows`](osc_core::batch::shard::ShardJob::ImageRows)
-/// job, so a service replica reproduces the in-process row+lane pixel
-/// universes exactly.
-fn wire_request(
-    cfg: &SoakConfig,
-    bases: &(OpticalBackend, OpticalBackend),
-    image: &Image,
+/// Request `r` as one whole-image [`Job`]: the gamma circuit on even
+/// requests, contrast on odd, each under its own request seed.
+fn request_job<'a>(
+    cfg: &'a SoakConfig,
+    bases: &'a (OpticalBackend, OpticalBackend),
+    image: &'a Image,
     r: usize,
-) -> Result<ShardRequest, AppError> {
-    let backend = request_backend(bases, r);
-    Ok(ShardRequest::whole_image(
-        backend.system(),
+) -> Job<'a> {
+    let base = if r.is_multiple_of(2) {
+        &bases.0
+    } else {
+        &bases.1
+    };
+    Job::image(
+        base.system(),
         SngKind::Xoshiro,
         image.width(),
         image.pixels(),
-        backend.stream_length(),
-        backend.seed(),
+        base.stream_length(),
+        request_seed(r),
         cfg.fault.as_ref(),
-    )?)
+    )
 }
 
 /// The soak byte encoding of one response: every run's estimate through
 /// the image pixel clamp, as little-endian IEEE-754 bit patterns —
-/// exactly the bytes the in-process modes extract from their produced
-/// [`Image`]s.
+/// exactly the pixels [`osc_apps::gamma_app::apply_optical`] produces.
 fn run_bytes(runs: &[OpticalRun]) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(runs.len() * 8);
     for run in runs {
@@ -210,53 +180,26 @@ fn run_bytes(runs: &[OpticalRun]) -> Vec<u8> {
     bytes
 }
 
-/// Drives the soak schedule through `mode`.
+/// Drives the soak schedule through `executor`, one job per request.
 ///
 /// # Errors
 ///
 /// Propagates backend construction and evaluation failures (including
 /// shard/pool failures as [`AppError::Shard`]).
-pub fn run(cfg: &SoakConfig, mut mode: SoakMode<'_>) -> Result<SoakReport, AppError> {
+pub fn run(cfg: &SoakConfig, mut executor: Executor<'_>) -> Result<SoakReport, AppError> {
     let image = Image::blobs(cfg.width, cfg.height);
-    // The two circuits are fixed across the schedule: build each once
-    // and derive per-request backends via the cheap table-reusing
-    // `with_seed` clone, the same way a real service front-end would.
+    // The two circuits are fixed across the schedule: build each once;
+    // requests differ only in their seed.
     let bases = schedule_bases(cfg)?;
-    let evaluator = BatchEvaluator::new();
     let mut bytes = Vec::with_capacity(cfg.requests * cfg.width * cfg.height * 8);
     let mut latencies = Vec::with_capacity(cfg.requests);
     let started = Instant::now();
     for r in 0..cfg.requests {
-        let backend = request_backend(&bases, r);
+        let job = request_job(cfg, &bases, &image, r);
         let submitted = Instant::now();
-        let produced = match &mut mode {
-            SoakMode::InProcess => gamma_app::apply_optical_lanes_faulted(
-                &image,
-                &backend,
-                &evaluator,
-                cfg.fault.as_ref(),
-            )?,
-            SoakMode::Pool(pool) => {
-                gamma_app::apply_optical_pooled_faulted(&image, &backend, pool, cfg.fault.as_ref())?
-            }
-            SoakMode::Spawn(config) => gamma_app::apply_optical_pooled_faulted(
-                &image,
-                &backend,
-                &mut config.clone().spawn()?,
-                cfg.fault.as_ref(),
-            )?,
-            SoakMode::Service(client) => {
-                let request = wire_request(cfg, &bases, &image, r)?;
-                let runs = client.request(&request)?;
-                latencies.push(submitted.elapsed());
-                bytes.extend_from_slice(&run_bytes(&runs));
-                continue;
-            }
-        };
+        let runs = executor.run(&[job])?;
         latencies.push(submitted.elapsed());
-        for &p in produced.pixels() {
-            bytes.extend_from_slice(&p.to_bits().to_le_bytes());
-        }
+        bytes.extend_from_slice(&run_bytes(&runs[0]));
     }
     Ok(SoakReport {
         bytes,
@@ -299,7 +242,7 @@ type ConnectionTake = Vec<(usize, Vec<u8>, Duration)>;
 /// Drives the soak schedule against a running `osc_service` front door
 /// from `load.connections` concurrent client connections. Output bytes
 /// are reassembled in request order, so the report is byte-identical
-/// to every single-connection [`SoakMode`] — the replica
+/// to every [`Executor`] arm — the replica
 /// interchangeability the determinism contract promises.
 ///
 /// # Errors
@@ -315,7 +258,7 @@ pub fn run_service(
     let image = Image::blobs(cfg.width, cfg.height);
     let bases = schedule_bases(cfg)?;
     let requests: Vec<ShardRequest> = (0..cfg.requests)
-        .map(|r| wire_request(cfg, &bases, &image, r))
+        .map(|r| request_job(cfg, &bases, &image, r).request())
         .collect::<Result<_, _>>()?;
     let started = Instant::now();
     let takes: Vec<Result<ConnectionTake, AppError>> = std::thread::scope(|scope| {
@@ -433,8 +376,9 @@ mod tests {
             stream: 64,
             ..Default::default()
         };
-        let a = run(&cfg, SoakMode::InProcess).unwrap();
-        let b = run(&cfg, SoakMode::InProcess).unwrap();
+        let evaluator = osc_core::batch::BatchEvaluator::new();
+        let a = run(&cfg, Executor::InProcess(&evaluator)).unwrap();
+        let b = run(&cfg, Executor::InProcess(&evaluator)).unwrap();
         assert_eq!(a.bytes, b.bytes);
         assert_eq!(a.bytes.len(), 3 * 5 * 2 * 8);
         assert_eq!(a.latencies.len(), 3);

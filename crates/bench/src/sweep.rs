@@ -8,7 +8,7 @@ use osc_core::batch::shard::SngKind;
 
 #[doc(no_inline)]
 pub use osc_core::design::sweep::{
-    frontier_csv, pareto_frontier, DesignSweep, SweepAxes, SweepMode, SweepPoint,
+    frontier_csv, pareto_frontier, DesignSweep, SweepAxes, SweepPoint,
 };
 
 /// Builds sweep axes holding at least `candidates` candidates over the

@@ -1,7 +1,6 @@
-//! End-to-end spawn-per-call equivalence: a
-//! [`osc_core::batch::shard::pool::WorkerPool`] of real `shard_worker`
-//! subprocesses, spawned from a [`PoolConfig`] for a single call and
-//! dropped after it, must reproduce single-process results **byte for
+//! End-to-end spawn-per-call equivalence: [`Executor::Spawn`] — a
+//! pool of real `shard_worker` subprocesses spawned from a
+//! [`PoolConfig`] for a single job and dropped after it — must reproduce single-process results **byte for
 //! byte** — for worker counts {1, 2, 3, 7} (ragged splits included),
 //! every SNG kind, and the image pipelines — and fail *as values* when
 //! workers die (including a killed-worker recovery case riding the
@@ -13,14 +12,11 @@
 //! `osc-core/tests/protocol_robustness.rs`.
 
 use osc_apps::backend::OpticalBackend;
-use osc_apps::contrast::{run_contrast_lanes, run_contrast_pooled, smoothstep_poly};
-use osc_apps::gamma_app::{
-    apply_optical_lanes, apply_optical_pooled, paper_gamma_polynomial, run_gamma_lanes,
-    run_gamma_pooled,
-};
+use osc_apps::contrast::{run_contrast_optical, smoothstep_poly};
+use osc_apps::gamma_app::{apply_optical, paper_gamma_polynomial, run_gamma_optical};
 use osc_apps::image::Image;
-use osc_core::batch::shard::pool::{PoolConfig, WorkerPool};
-use osc_core::batch::shard::{ShardError, SngKind};
+use osc_core::batch::shard::pool::PoolConfig;
+use osc_core::batch::shard::{ExecError, Executor, Job, ShardError, SngKind};
 use osc_core::batch::BatchEvaluator;
 use osc_core::params::CircuitParams;
 use osc_core::system::{OpticalRun, OpticalScSystem};
@@ -38,9 +34,18 @@ fn fig5_system() -> OpticalScSystem {
     .unwrap()
 }
 
-/// A pool spawned for one call, as the spawn-per-request baseline does.
-fn per_call_pool(config: PoolConfig) -> WorkerPool {
-    config.spawn().unwrap()
+/// One fault-free batch job on a pool spawned for the call from
+/// `config`, as the spawn-per-request baseline does.
+fn spawned_batch(
+    config: &PoolConfig,
+    system: &OpticalScSystem,
+    kind: SngKind,
+    xs: &[f64],
+    stream_length: usize,
+    seed: u64,
+) -> Result<Vec<OpticalRun>, ExecError> {
+    let job = Job::batch(system, kind, xs, stream_length, seed, None);
+    Ok(Executor::Spawn(config).run(&[job])?.remove(0))
 }
 
 fn reference_runs(
@@ -77,9 +82,15 @@ fn sharded_batches_match_single_process_for_all_sngs_and_counts() {
     for kind in SngKind::ALL {
         let reference = reference_runs(&system, kind, &xs, 128, 7);
         for shards in [1usize, 2, 3, 7] {
-            let sharded = per_call_pool(PoolConfig::new(WORKER, shards).with_worker_threads(1))
-                .evaluate_many(&system, kind, &xs, 128, 7, None)
-                .unwrap();
+            let sharded = spawned_batch(
+                &PoolConfig::new(WORKER, shards).with_worker_threads(1),
+                &system,
+                kind,
+                &xs,
+                128,
+                7,
+            )
+            .unwrap();
             assert_eq!(sharded, reference, "{} shards={shards}", kind.name());
         }
     }
@@ -95,28 +106,21 @@ fn sharded_gamma_image_is_byte_identical_across_shard_counts() {
     let params = CircuitParams::paper_fig7(6, Nanometers::new(0.165));
     let backend = OpticalBackend::new(params, poly, 256, 13).unwrap();
     let evaluator = BatchEvaluator::with_threads(2);
-    let in_process = apply_optical_lanes(&image, &backend, &evaluator).unwrap();
-    let lanes_report = run_gamma_lanes(&image, &backend, &evaluator).unwrap();
+    let mut in_process = Executor::InProcess(&evaluator);
+    let reference = apply_optical(&image, &backend, &mut in_process, None).unwrap();
+    let lanes_report = run_gamma_optical(&image, &backend, &mut in_process).unwrap();
     for shards in [1usize, 2, 3, 7] {
-        let sharded = apply_optical_pooled(
-            &image,
-            &backend,
-            &mut per_call_pool(PoolConfig::new(WORKER, shards)),
-        )
-        .unwrap();
+        let config = PoolConfig::new(WORKER, shards);
+        let mut spawned = Executor::Spawn(&config);
+        let sharded = apply_optical(&image, &backend, &mut spawned, None).unwrap();
         let identical = sharded
             .pixels()
             .iter()
-            .zip(in_process.pixels())
+            .zip(reference.pixels())
             .all(|(a, b)| a.to_bits() == b.to_bits());
         assert!(identical, "shards={shards}: sharded image bytes diverged");
         // The derived quality reports agree exactly too.
-        let sharded_report = run_gamma_pooled(
-            &image,
-            &backend,
-            &mut per_call_pool(PoolConfig::new(WORKER, shards)),
-        )
-        .unwrap();
+        let sharded_report = run_gamma_optical(&image, &backend, &mut spawned).unwrap();
         assert_eq!(sharded_report, lanes_report, "shards={shards}");
     }
 }
@@ -126,14 +130,12 @@ fn sharded_contrast_matches_lanes_pipeline() {
     let image = Image::blobs(12, 6);
     let params = CircuitParams::paper_fig7(3, Nanometers::new(0.2));
     let backend = OpticalBackend::new(params, smoothstep_poly(), 512, 5).unwrap();
+    let evaluator = BatchEvaluator::with_threads(2);
     let (lanes_img, lanes_mae) =
-        run_contrast_lanes(&image, &backend, &BatchEvaluator::with_threads(2)).unwrap();
-    let (sharded_img, sharded_mae) = run_contrast_pooled(
-        &image,
-        &backend,
-        &mut per_call_pool(PoolConfig::new(WORKER, 3)),
-    )
-    .unwrap();
+        run_contrast_optical(&image, &backend, &mut Executor::InProcess(&evaluator)).unwrap();
+    let config = PoolConfig::new(WORKER, 3);
+    let (sharded_img, sharded_mae) =
+        run_contrast_optical(&image, &backend, &mut Executor::Spawn(&config)).unwrap();
     assert_eq!(sharded_img, lanes_img);
     assert_eq!(sharded_mae, lanes_mae);
 }
@@ -145,11 +147,17 @@ fn dead_worker_surfaces_a_clean_error_after_retries() {
     // attempt and return a ShardError, never panic or hang.
     let system = fig5_system();
     let xs = [0.25, 0.5, 0.75];
-    let err = per_call_pool(PoolConfig::new("/bin/false", 2).with_retries(1))
-        .evaluate_many(&system, SngKind::Xoshiro, &xs, 64, 1, None)
-        .unwrap_err();
+    let err = spawned_batch(
+        &PoolConfig::new("/bin/false", 2).with_retries(1),
+        &system,
+        SngKind::Xoshiro,
+        &xs,
+        64,
+        1,
+    )
+    .unwrap_err();
     assert!(
-        matches!(err, ShardError::Worker { .. }),
+        matches!(err, ExecError::Shard(ShardError::Worker { .. })),
         "expected a worker failure, got {err}"
     );
     // A binary that cannot be spawned at all is also a value, and is
@@ -190,9 +198,15 @@ fn killed_worker_recovers_on_retry_with_identical_results() {
     let system = fig5_system();
     let xs: Vec<f64> = (0..9).map(|i| i as f64 / 8.0).collect();
     let reference = reference_runs(&system, SngKind::Xoshiro, &xs, 128, 3);
-    let recovered = per_call_pool(PoolConfig::new(&script_path, 3).with_retries(1))
-        .evaluate_many(&system, SngKind::Xoshiro, &xs, 128, 3, None)
-        .unwrap();
+    let recovered = spawned_batch(
+        &PoolConfig::new(&script_path, 3).with_retries(1),
+        &system,
+        SngKind::Xoshiro,
+        &xs,
+        128,
+        3,
+    )
+    .unwrap();
     assert_eq!(recovered, reference, "recovery must not change results");
     assert!(
         marker_dir.join("died-once").exists(),
@@ -200,10 +214,19 @@ fn killed_worker_recovers_on_retry_with_identical_results() {
     );
     // With retries disabled the same first-death launcher fails cleanly.
     let _ = std::fs::remove_file(marker_dir.join("died-once"));
-    let err = per_call_pool(PoolConfig::new(&script_path, 3).with_retries(0))
-        .evaluate_many(&system, SngKind::Xoshiro, &xs, 128, 3, None)
-        .unwrap_err();
-    assert!(matches!(err, ShardError::Worker { .. }), "{err}");
+    let err = spawned_batch(
+        &PoolConfig::new(&script_path, 3).with_retries(0),
+        &system,
+        SngKind::Xoshiro,
+        &xs,
+        128,
+        3,
+    )
+    .unwrap_err();
+    assert!(
+        matches!(err, ExecError::Shard(ShardError::Worker { .. })),
+        "{err}"
+    );
     let _ = std::fs::remove_dir_all(&marker_dir);
 }
 
@@ -212,11 +235,17 @@ fn remote_evaluation_errors_cross_the_boundary_as_values() {
     // An out-of-range input is rejected by the worker and reported as a
     // remote error (not retried — the answer is deterministic).
     let system = fig5_system();
-    let err = per_call_pool(PoolConfig::new(WORKER, 2))
-        .evaluate_many(&system, SngKind::Xoshiro, &[0.5, 1.5], 64, 1, None)
-        .unwrap_err();
+    let err = spawned_batch(
+        &PoolConfig::new(WORKER, 2),
+        &system,
+        SngKind::Xoshiro,
+        &[0.5, 1.5],
+        64,
+        1,
+    )
+    .unwrap_err();
     match err {
-        ShardError::Remote { detail, .. } => {
+        ExecError::Shard(ShardError::Remote { detail, .. }) => {
             assert!(detail.contains("outside"), "{detail}");
         }
         other => panic!("expected a remote error, got {other}"),
@@ -227,11 +256,23 @@ fn remote_evaluation_errors_cross_the_boundary_as_values() {
 fn worker_thread_pinning_does_not_change_results() {
     let system = fig5_system();
     let xs: Vec<f64> = (0..13).map(|i| i as f64 / 12.0).collect();
-    let pinned = per_call_pool(PoolConfig::new(WORKER, 2).with_worker_threads(1))
-        .evaluate_many(&system, SngKind::Chaotic, &xs, 256, 11, None)
-        .unwrap();
-    let free = per_call_pool(PoolConfig::new(WORKER, 2))
-        .evaluate_many(&system, SngKind::Chaotic, &xs, 256, 11, None)
-        .unwrap();
+    let pinned = spawned_batch(
+        &PoolConfig::new(WORKER, 2).with_worker_threads(1),
+        &system,
+        SngKind::Chaotic,
+        &xs,
+        256,
+        11,
+    )
+    .unwrap();
+    let free = spawned_batch(
+        &PoolConfig::new(WORKER, 2),
+        &system,
+        SngKind::Chaotic,
+        &xs,
+        256,
+        11,
+    )
+    .unwrap();
     assert_eq!(pinned, free, "OSC_THREADS pinning must be unobservable");
 }

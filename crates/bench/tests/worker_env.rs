@@ -1,9 +1,10 @@
 //! Garbage in the worker's environment must never change its answers:
-//! a real `shard_worker` started with `OSC_CIRCUIT_CACHE` and
-//! `OSC_SERVE_DELAY_MS` set to unparsable, negative, zero or
-//! overflowing values falls back to its defaults (an 8-circuit cache,
-//! no delay) and answers a fixed frame sequence byte-identically to a
-//! worker started with neither variable set.
+//! a real `shard_worker` started with `OSC_CIRCUIT_CACHE`,
+//! `OSC_SERVE_DELAY_MS` or `OSC_THREADS` set to unparsable, negative,
+//! zero, empty or overflowing values falls back to its defaults (an
+//! 8-circuit cache, no delay, the machine's thread count) and answers a
+//! fixed frame sequence byte-identically to a worker started with none
+//! of the variables set.
 //!
 //! This suite owns the worker binary via `CARGO_BIN_EXE_shard_worker`.
 
@@ -12,6 +13,7 @@ use osc_core::batch::shard::{
     ShardRequest, ShardResponseV2, SngKind, CIRCUIT_CACHE_CAPACITY, CIRCUIT_CACHE_ENV,
     SERVE_DELAY_ENV,
 };
+use osc_core::batch::THREADS_ENV;
 use osc_core::params::CircuitParams;
 use std::io::{Read, Write};
 use std::process::{Command, Stdio};
@@ -70,7 +72,8 @@ fn run_worker(env: &[(&str, &str)]) -> Vec<u8> {
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .env_remove(CIRCUIT_CACHE_ENV)
-        .env_remove(SERVE_DELAY_ENV);
+        .env_remove(SERVE_DELAY_ENV)
+        .env_remove(THREADS_ENV);
     for (key, value) in env {
         command.env(key, value);
     }
@@ -131,6 +134,13 @@ fn garbage_env_values_fall_back_to_the_defaults() {
             run_worker(&[(CIRCUIT_CACHE_ENV, garbage), (SERVE_DELAY_ENV, garbage)]),
             baseline,
             "both variables = {garbage} changed the worker's answers"
+        );
+    }
+    for garbage in ["abc", "0", "-3", ""] {
+        assert_eq!(
+            run_worker(&[(THREADS_ENV, garbage)]),
+            baseline,
+            "{THREADS_ENV}={garbage:?} changed the worker's answers"
         );
     }
 }

@@ -104,45 +104,13 @@ pub const NOISE_SEED_SALT: u64 = 0x0A11_D1CE;
 /// point every lane-blocked caller shares — per item the result is
 /// bit-identical to a standalone fused evaluation with the same seeds.
 ///
-/// # Panics
-///
-/// Panics if `xs.len()` is not one of the [`lane_blocks`] widths
-/// (1, 2, 4 or 8).
-///
-/// # Errors
-///
-/// Propagates evaluation failures (e.g. an `xs[l]` outside `[0, 1]`).
-pub fn evaluate_lane_block<S, F, G>(
-    system: &OpticalScSystem,
-    xs: &[f64],
-    stream_length: usize,
-    sng_factory: &F,
-    lane_seed: G,
-    scratch: &mut EvalScratch,
-) -> Result<Vec<OpticalRun>, CircuitError>
-where
-    S: StochasticNumberGenerator,
-    F: Fn(u64) -> S,
-    G: Fn(usize) -> u64,
-{
-    evaluate_lane_block_faulted(
-        system,
-        xs,
-        stream_length,
-        sng_factory,
-        lane_seed,
-        None::<fn(usize) -> FaultSpec>,
-        scratch,
-    )
-}
-
-/// [`evaluate_lane_block`] with optional fault injection: `lane_fault(l)`
-/// supplies lane `l`'s **item-level** [`FaultSpec`] (callers derive it
-/// from the same global index their `lane_seed` derivation uses, e.g.
-/// `spec.rebased(first_index + start + l)` for flat batches and
-/// `spec.rebased(row).rebased(col)` for image pixels), mirroring the SNG
-/// seed contract so faulty results stay invariant under blocking,
-/// threading and sharding.
+/// `lane_fault(l)`, when given, supplies lane `l`'s **item-level**
+/// [`FaultSpec`] (callers derive it from the same global index their
+/// `lane_seed` derivation uses, e.g. `spec.rebased(first_index + start +
+/// l)` for flat batches and `spec.rebased(row).rebased(col)` for image
+/// pixels), mirroring the SNG seed contract so faulty results stay
+/// invariant under blocking, threading and sharding. Clean callers pass
+/// `None::<fn(usize) -> FaultSpec>`.
 ///
 /// # Panics
 ///
@@ -152,7 +120,7 @@ where
 /// # Errors
 ///
 /// Propagates evaluation failures (e.g. an `xs[l]` outside `[0, 1]`).
-pub fn evaluate_lane_block_faulted<S, F, G, H>(
+pub fn evaluate_lane_block<S, F, G, H>(
     system: &OpticalScSystem,
     xs: &[f64],
     stream_length: usize,
@@ -208,7 +176,7 @@ where
     }
 }
 
-/// The monomorphized body of [`evaluate_lane_block_faulted`].
+/// The monomorphized body of [`evaluate_lane_block`].
 fn eval_lane_block<const L: usize, S, F, G, H>(
     system: &OpticalScSystem,
     xs: &[f64],
@@ -389,77 +357,19 @@ impl BatchEvaluator {
         S: StochasticNumberGenerator,
         F: Fn(u64) -> S + Sync,
     {
-        self.evaluate_range(system, xs, stream_length, sng_factory, seed, 0)
-    }
-
-    /// [`BatchEvaluator::evaluate_many`] with an optional batch-level
-    /// [`FaultSpec`]: item `i` perturbs its streams with
-    /// `faults.rebased(i)`, mirroring the `mix_seed(seed, i)` SNG
-    /// derivation, so faulty results are as blocking/thread/shard
-    /// invariant as clean ones. `faults: None` is the clean path.
-    ///
-    /// # Errors
-    ///
-    /// Rejects an invalid spec ([`FaultSpec::validate`]) before any
-    /// evaluation; otherwise propagates the first evaluation failure.
-    pub fn evaluate_many_faulted<S, F>(
-        &self,
-        system: &OpticalScSystem,
-        xs: &[f64],
-        stream_length: usize,
-        sng_factory: F,
-        seed: u64,
-        faults: Option<&FaultSpec>,
-    ) -> Result<Vec<OpticalRun>, CircuitError>
-    where
-        S: StochasticNumberGenerator,
-        F: Fn(u64) -> S + Sync,
-    {
-        self.evaluate_range_faulted(system, xs, stream_length, sng_factory, seed, 0, faults)
+        self.evaluate_range_faulted(system, xs, stream_length, sng_factory, seed, 0, None)
     }
 
     /// [`BatchEvaluator::evaluate_many`] for a contiguous *slice of a
-    /// larger batch*: item `i` of `xs` derives its generators from
-    /// `mix_seed(seed, first_index + i)`. This is the primitive the
-    /// process-sharding layer ([`shard`]) runs inside each worker — a
-    /// shard covering global indices `[a, b)` calls
-    /// `evaluate_range(..., a)` and reproduces exactly the runs a
-    /// single-process `evaluate_many` over the whole batch would have
+    /// larger batch*, under an optional batch-level [`FaultSpec`]: item
+    /// `i` of `xs` derives its generators from `mix_seed(seed,
+    /// first_index + i)` and perturbs them with `faults.rebased(first_index
+    /// + i)`. This is the primitive the process-sharding layer ([`shard`])
+    /// runs inside each worker — a shard covering global indices `[a, b)`
+    /// passes `first_index = a` and reproduces exactly the runs (and
+    /// faults) a single-process evaluation of the whole batch would have
     /// produced for those indices, because every item's universe depends
-    /// only on `(seed, global index)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first evaluation failure (by index order).
-    pub fn evaluate_range<S, F>(
-        &self,
-        system: &OpticalScSystem,
-        xs: &[f64],
-        stream_length: usize,
-        sng_factory: F,
-        seed: u64,
-        first_index: u64,
-    ) -> Result<Vec<OpticalRun>, CircuitError>
-    where
-        S: StochasticNumberGenerator,
-        F: Fn(u64) -> S + Sync,
-    {
-        self.evaluate_range_faulted(
-            system,
-            xs,
-            stream_length,
-            sng_factory,
-            seed,
-            first_index,
-            None,
-        )
-    }
-
-    /// [`BatchEvaluator::evaluate_range`] with an optional batch-level
-    /// [`FaultSpec`]: item `i` of `xs` perturbs with
-    /// `faults.rebased(first_index + i)` — the global index, so a shard
-    /// evaluating `[a, b)` injects exactly the faults the full batch
-    /// would have at those indices (faulty sharded ≡ faulty unsharded).
+    /// only on `(seed, global index)`. `faults: None` is the clean path.
     ///
     /// # Errors
     ///
@@ -491,7 +401,7 @@ impl BatchEvaluator {
             // randomness, so a block with a bad input fails with exactly
             // the error (and at exactly the index) the unblocked path
             // would surface.
-            evaluate_lane_block_faulted(
+            evaluate_lane_block(
                 system,
                 &xs[start..start + width],
                 stream_length,
@@ -538,6 +448,7 @@ impl BatchEvaluator {
                 stream_length,
                 &sng_factory,
                 |l| seeds[start + l],
+                None::<fn(usize) -> FaultSpec>,
                 scratch,
             )
         });
@@ -766,7 +677,7 @@ mod tests {
             .unwrap();
         for (a, b) in [(0usize, 5usize), (5, 17), (3, 4), (16, 17), (7, 7)] {
             let part = BatchEvaluator::with_threads(3)
-                .evaluate_range(&s, &xs[a..b], 700, XoshiroSng::new, 55, a as u64)
+                .evaluate_range_faulted(&s, &xs[a..b], 700, XoshiroSng::new, 55, a as u64, None)
                 .unwrap();
             assert_eq!(part, full[a..b].to_vec(), "range {a}..{b}");
         }

@@ -21,18 +21,25 @@
 //!   spawn-per-call caller simply spawns a pool from a
 //!   [`pool::PoolConfig`] for each call and drops it afterwards;
 //! - [`pool::PoolDispatcher`] and [`service::Service`] — the same pool
-//!   behind a concurrent front end and a TCP socket.
+//!   behind a concurrent front end and a TCP socket;
+//! - [`Executor`] — the one dispatch point over the serving tiers
+//!   (in-process, spawn-per-call, pool, TCP service): it runs [`Job`]s,
+//!   each a built system plus the fields a [`ShardRequest`] carries, and
+//!   every tier returns the same bytes. The apps, the soak schedule and
+//!   the design sweep all evaluate through it.
 //!
 //! ```no_run
-//! use osc_core::batch::shard::{pool::PoolConfig, SngKind};
+//! use osc_core::batch::shard::{pool::PoolConfig, Executor, Job, SngKind};
 //! # fn demo(system: &osc_core::system::OpticalScSystem) -> Result<(), Box<dyn std::error::Error>> {
-//! // Spawn 3 workers once, then stream requests at them. The workers
-//! // cache the built circuit, so repeat requests skip both the spawn
-//! // and the rebuild. Results are bit-identical to in-process runs.
+//! // Spawn 3 workers once, then stream jobs at them. The workers
+//! // cache the built circuit, so repeat jobs skip both the spawn and
+//! // the rebuild. Results are bit-identical to in-process runs.
 //! let mut pool = PoolConfig::new("shard_worker", 3).spawn()?;
+//! let mut executor = Executor::Pool(&mut pool);
 //! for seed in 0..100u64 {
-//!     let runs = pool.evaluate_many(system, SngKind::Xoshiro, &[0.5], 256, seed, None)?;
-//!     assert_eq!(runs.len(), 1);
+//!     let job = Job::batch(system, SngKind::Xoshiro, &[0.5], 256, seed, None);
+//!     let runs = executor.run(&[job])?;
+//!     assert_eq!(runs[0].len(), 1);
 //! }
 //! # Ok(()) }
 //! ```
@@ -45,7 +52,7 @@
 //! `mix_seed(mix_seed(seed, row), column)` for image jobs — exactly as
 //! the single-process paths ([`super::BatchEvaluator::evaluate_many`],
 //! the row+lane image pipelines) do. A shard covering `[a, b)` runs
-//! [`super::BatchEvaluator::evaluate_range`] with `first_index = a`
+//! [`super::BatchEvaluator::evaluate_range_faulted`] with `first_index = a`
 //! inside its own process, so concatenating shard outputs in plan order
 //! is **byte-identical** to the unsharded evaluation for every worker
 //! count, worker thread count and SIMD tier. The `f64` payloads travel
@@ -241,7 +248,7 @@
 //!   reconnect to any other instance and replay the failed request
 //!   byte-identically.
 
-use super::{evaluate_lane_block_faulted, lane_blocks, mix_seed, BatchEvaluator};
+use super::{evaluate_lane_block, lane_blocks, mix_seed, BatchEvaluator};
 use crate::backend::BackendKind;
 use crate::fault::{FaultSpec, StuckAt};
 use crate::params::{CircuitParams, FilterTemplate, ModulatorTemplate};
@@ -249,6 +256,8 @@ use crate::system::{OpticalRun, OpticalScSystem};
 use osc_stochastic::bernstein::BernsteinPoly;
 use osc_stochastic::sng::{ChaoticLaserSng, CounterSng, LfsrSng, XoshiroSng};
 use osc_units::{DbRatio, Milliwatts, Nanometers};
+use pool::{PoolConfig, WorkerPool};
+use service::ServiceClient;
 use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -504,9 +513,11 @@ pub fn evaluate_batch_in_process(
     stream_length: usize,
     seed: u64,
 ) -> Result<Vec<OpticalRun>, crate::CircuitError> {
-    dispatch_sng!(sng, factory => {
-        evaluator.evaluate_range_faulted(system, xs, stream_length, factory, seed, 0, None)
-    })
+    evaluate_job(
+        evaluator,
+        &Job::batch(system, sng, xs, stream_length, seed, None),
+        0,
+    )
 }
 
 /// A contiguous, balanced decomposition of `items` work items into at
@@ -652,25 +663,7 @@ impl ShardRequest {
         seed: u64,
         faults: Option<&FaultSpec>,
     ) -> Result<ShardRequest, ShardError> {
-        if width == 0 || !pixels.len().is_multiple_of(width) {
-            return Err(ShardError::InvalidPlan(format!(
-                "pixel count {} is not a whole number of width-{width} rows",
-                pixels.len()
-            )));
-        }
-        Ok(ShardRequest {
-            params: *system.params(),
-            coeffs: system.polynomial().coeffs().to_vec(),
-            sng,
-            seed,
-            stream_length: stream_length as u64,
-            faults: faults.copied(),
-            job: ShardJob::ImageRows {
-                width: width as u64,
-                first_row: 0,
-                pixels: pixels.to_vec(),
-            },
-        })
+        Job::image(system, sng, width, pixels, stream_length, seed, faults).request()
     }
 }
 
@@ -1321,10 +1314,11 @@ fn build_system(params: &CircuitParams, coeffs: &[f64]) -> Result<OpticalScSyste
     OpticalScSystem::new(*params, poly).map_err(|e| e.to_string())
 }
 
-/// Evaluates one job on an already-built system, as a value — every
-/// failure (out-of-range input, ragged image payload) comes back as
-/// `Err`.
-fn evaluate_job(
+/// The worker half of a request: turns the wire job into a [`Job`] on
+/// an already-built system and evaluates it, as a value — every failure
+/// (oversized response, ragged image payload, out-of-range input) comes
+/// back as `Err`.
+fn evaluate_shard_job(
     system: &OpticalScSystem,
     sng: SngKind,
     seed: u64,
@@ -1337,98 +1331,99 @@ fn evaluate_job(
     // Refuse upfront a job whose response could not be framed — the
     // pool side plans against the same bound, so this only
     // triggers for foreign clients, before any evaluation work.
-    let runs = match job {
-        ShardJob::Batch { xs, .. } => xs.len(),
-        ShardJob::ImageRows { pixels, .. } => pixels.len(),
-    };
+    let runs = job.expected_runs();
     if response_frame_bound(runs) > MAX_FRAME_BYTES {
         return Err(format!(
             "a {runs}-run response would exceed the {MAX_FRAME_BYTES}-byte frame cap — \
              split the job across more requests"
         ));
     }
-    let evaluator = BatchEvaluator::new();
-    match job {
-        ShardJob::Batch { first_index, xs } => dispatch_sng!(sng, factory => {
-            evaluator
-                .evaluate_range_faulted(
-                    system,
-                    xs,
-                    stream_length,
-                    factory,
-                    seed,
-                    *first_index,
-                    faults,
-                )
-                .map_err(|e| e.to_string())
-        }),
+    let (work, first) = match job {
+        ShardJob::Batch { first_index, xs } => (Work::Batch(xs), *first_index),
         ShardJob::ImageRows {
             width,
             first_row,
             pixels,
         } => {
-            let width = usize::try_from(*width)
-                .ok()
-                .filter(|&w| w > 0)
-                .ok_or_else(|| "image width must be a positive usize".to_string())?;
-            if !pixels.len().is_multiple_of(width) {
-                return Err(format!(
-                    "pixel count {} is not a multiple of width {width}",
-                    pixels.len()
-                ));
-            }
-            dispatch_sng!(sng, factory => {
-                image_rows_eval(
-                    &evaluator,
-                    system,
-                    &factory,
-                    width,
-                    *first_row,
-                    pixels,
-                    stream_length,
-                    seed,
-                    faults,
-                )
-                .map_err(|e| e.to_string())
-            })
+            let width =
+                usize::try_from(*width).map_err(|_| "image width overflows usize".to_string())?;
+            (Work::Image { width, pixels }, *first_row)
         }
+    };
+    let job = Job {
+        system,
+        sng,
+        seed,
+        stream_length,
+        faults,
+        work,
+    };
+    job.check().map_err(|e| e.to_string())?;
+    evaluate_job(&BatchEvaluator::new(), &job, first).map_err(|e| e.to_string())
+}
+
+/// Evaluates one job in this process — the one evaluator behind both a
+/// worker's answers and [`Executor::InProcess`]. Work units are numbered
+/// from `first`: the global index of `xs[0]` for a batch, the global row
+/// of the first pixel row for an image. The fault spec is validated here,
+/// once, before any work, so every tier rejects the same specs.
+///
+/// The job must already have passed [`Job::check`].
+fn evaluate_job(
+    evaluator: &BatchEvaluator,
+    job: &Job<'_>,
+    first: u64,
+) -> Result<Vec<OpticalRun>, crate::CircuitError> {
+    if let Some(spec) = job.faults {
+        spec.validate().map_err(|e| {
+            crate::CircuitError::InvalidStructure(format!("invalid fault spec: {e}"))
+        })?;
+    }
+    match job.work {
+        Work::Batch(xs) => dispatch_sng!(job.sng, factory => {
+            evaluator.evaluate_range_faulted(
+                job.system,
+                xs,
+                job.stream_length,
+                factory,
+                job.seed,
+                first,
+                job.faults,
+            )
+        }),
+        Work::Image { width, pixels } => dispatch_sng!(job.sng, factory => {
+            image_rows_eval(evaluator, job, &factory, width, first, pixels)
+        }),
     }
 }
 
-/// The worker half of the image job: evaluates row-major pixels with the
-/// row+lane pipeline's per-pixel universes,
-/// `mix_seed(mix_seed(seed, global row), column)` — identical to the
-/// in-process `apply_optical_lanes` derivation, so shard boundaries are
-/// invisible in the output. A fault spec rebases the same way (by
-/// global row, then column), keeping faulty sharded output identical to
-/// faulty in-process output.
-#[allow(clippy::too_many_arguments)]
+/// The image half of [`evaluate_job`] — the only row+lane pixel loop in
+/// the tree: evaluates row-major pixels with the per-pixel universes
+/// `mix_seed(mix_seed(seed, global row), column)`, rows fanned across
+/// the evaluator's threads and each row's pixels run through the
+/// lane-blocked fused kernel in register groups of 8/4/2/1 (the image
+/// form of the paper's Section V.C lane bank). A fault spec rebases the
+/// same way (by global row, then column), so shard boundaries, thread
+/// counts and lane decompositions are all invisible in the output,
+/// faulty or clean.
 fn image_rows_eval<S, F>(
     evaluator: &BatchEvaluator,
-    system: &OpticalScSystem,
+    job: &Job<'_>,
     factory: &F,
     width: usize,
     first_row: u64,
     pixels: &[f64],
-    stream_length: usize,
-    seed: u64,
-    faults: Option<&FaultSpec>,
 ) -> Result<Vec<OpticalRun>, crate::CircuitError>
 where
     S: osc_stochastic::sng::StochasticNumberGenerator,
     F: Fn(u64) -> S + Sync,
 {
     use crate::system::EvalScratch;
-    if let Some(spec) = faults {
-        spec.validate().map_err(|e| {
-            crate::CircuitError::InvalidStructure(format!("invalid fault spec: {e}"))
-        })?;
-    }
     let rows: Vec<usize> = (0..pixels.len() / width).collect();
     let blocks = lane_blocks(width);
     let produced = evaluator.par_map_with(&rows, EvalScratch::new, |scratch, _, &r| {
-        let row_seed = mix_seed(seed, first_row + r as u64);
-        let row_spec = faults.map(|spec| spec.rebased(first_row + r as u64));
+        let row_seed = mix_seed(job.seed, first_row + r as u64);
+        let row_spec = job.faults.map(|spec| spec.rebased(first_row + r as u64));
         let row_pixels = &pixels[r * width..(r + 1) * width];
         let mut out_row = Vec::with_capacity(width);
         for &(start, bw) in &blocks {
@@ -1436,10 +1431,10 @@ where
             for (slot, &p) in xs.iter_mut().zip(&row_pixels[start..start + bw]) {
                 *slot = p.clamp(0.0, 1.0);
             }
-            let runs = evaluate_lane_block_faulted(
-                system,
+            let runs = evaluate_lane_block(
+                job.system,
                 &xs[..bw],
-                stream_length,
+                job.stream_length,
                 factory,
                 |k| mix_seed(row_seed, (start + k) as u64),
                 row_spec
@@ -1545,7 +1540,7 @@ fn handle_request_v2(req: &ShardRequestV2, cache: &mut CircuitCache) -> ShardRes
             }
         },
     };
-    match evaluate_job(
+    match evaluate_shard_job(
         system,
         req.sng,
         req.seed,
@@ -1723,78 +1718,258 @@ fn check_frame_bounds(req: &ShardRequest, expected: usize) -> Result<(), ShardEr
     Ok(())
 }
 
-/// Builds the per-shard batch requests for a plan over `xs`. The same
-/// request-level fault spec rides every shard — workers rebase it per
-/// global item index, so the split is unobservable.
-fn batch_requests(
-    system: &OpticalScSystem,
-    sng: SngKind,
-    xs: &[f64],
-    stream_length: usize,
-    seed: u64,
-    faults: Option<&FaultSpec>,
-    shards: usize,
-) -> (Vec<ShardRequest>, Vec<usize>) {
-    let plan = ShardPlan::new(xs.len(), shards);
-    let requests = plan
-        .ranges()
-        .iter()
-        .map(|&(start, len)| ShardRequest {
-            params: *system.params(),
-            coeffs: system.polynomial().coeffs().to_vec(),
+// ---------------------------------------------------------------------
+// One dispatch point over the serving tiers
+// ---------------------------------------------------------------------
+
+/// What one [`Job`] evaluates.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Work<'a> {
+    /// A flat batch: item `i` evaluates `xs[i]` on generators derived
+    /// from `mix_seed(seed, i)`.
+    Batch(&'a [f64]),
+    /// A row-major image: the pixel at row `y`, column `x` is clamped to
+    /// `[0, 1]` and evaluates on generators derived from
+    /// `mix_seed(mix_seed(seed, y), x)` — the row+lane pipeline
+    /// derivation.
+    Image {
+        /// Image width in pixels (row stride).
+        width: usize,
+        /// Row-major pixels, a whole number of `width`-sized rows.
+        pixels: &'a [f64],
+    },
+}
+
+/// One evaluation an [`Executor`] runs: a built system plus every field
+/// a [`ShardRequest`] carries, borrowed.
+#[derive(Debug, Clone, Copy)]
+pub struct Job<'a> {
+    /// The circuit to evaluate.
+    pub system: &'a OpticalScSystem,
+    /// Generator kind for every item.
+    pub sng: SngKind,
+    /// Seed the per-item universes derive from.
+    pub seed: u64,
+    /// Stream length (bits) per evaluation.
+    pub stream_length: usize,
+    /// Optional fault process, rebased per item like the generators.
+    pub faults: Option<&'a FaultSpec>,
+    /// The inputs.
+    pub work: Work<'a>,
+}
+
+impl<'a> Job<'a> {
+    /// A flat-batch job (argument order of [`ShardRequest::batch`]).
+    pub fn batch(
+        system: &'a OpticalScSystem,
+        sng: SngKind,
+        xs: &'a [f64],
+        stream_length: usize,
+        seed: u64,
+        faults: Option<&'a FaultSpec>,
+    ) -> Job<'a> {
+        Job {
+            system,
             sng,
             seed,
-            stream_length: stream_length as u64,
-            faults: faults.copied(),
-            job: ShardJob::Batch {
+            stream_length,
+            faults,
+            work: Work::Batch(xs),
+        }
+    }
+
+    /// A whole-image job (argument order of
+    /// [`ShardRequest::whole_image`]).
+    pub fn image(
+        system: &'a OpticalScSystem,
+        sng: SngKind,
+        width: usize,
+        pixels: &'a [f64],
+        stream_length: usize,
+        seed: u64,
+        faults: Option<&'a FaultSpec>,
+    ) -> Job<'a> {
+        Job {
+            system,
+            sng,
+            seed,
+            stream_length,
+            faults,
+            work: Work::Image { width, pixels },
+        }
+    }
+
+    /// Rejects an image whose pixels are not a whole number of
+    /// `width`-sized rows.
+    fn check(&self) -> Result<(), ShardError> {
+        match self.work {
+            Work::Image { width, pixels } if width == 0 || !pixels.len().is_multiple_of(width) => {
+                Err(ShardError::InvalidPlan(format!(
+                    "pixel count {} is not a multiple of width {width}",
+                    pixels.len()
+                )))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// The units a plan splits (batch items or image rows) and the runs
+    /// each produces. The job must have passed [`Job::check`].
+    fn units(&self) -> (usize, usize) {
+        match self.work {
+            Work::Batch(xs) => (xs.len(), 1),
+            Work::Image { width, pixels } => (pixels.len() / width, width),
+        }
+    }
+
+    /// The wire form of units `start .. start + len`.
+    fn slice(&self, start: usize, len: usize) -> ShardRequest {
+        let job = match self.work {
+            Work::Batch(xs) => ShardJob::Batch {
                 first_index: start as u64,
                 xs: xs[start..start + len].to_vec(),
             },
-        })
-        .collect();
-    let expected = plan.ranges().iter().map(|&(_, len)| len).collect();
-    (requests, expected)
-}
-
-/// Builds the per-shard image-row requests for a plan over the rows.
-#[allow(clippy::too_many_arguments)]
-fn image_requests(
-    system: &OpticalScSystem,
-    sng: SngKind,
-    width: usize,
-    pixels: &[f64],
-    stream_length: usize,
-    seed: u64,
-    faults: Option<&FaultSpec>,
-    shards: usize,
-) -> Result<(Vec<ShardRequest>, Vec<usize>), ShardError> {
-    if width == 0 || !pixels.len().is_multiple_of(width) {
-        return Err(ShardError::InvalidPlan(format!(
-            "pixel count {} is not a whole number of width-{width} rows",
-            pixels.len()
-        )));
-    }
-    let rows = pixels.len() / width;
-    let plan = ShardPlan::new(rows, shards);
-    let requests = plan
-        .ranges()
-        .iter()
-        .map(|&(start, len)| ShardRequest {
-            params: *system.params(),
-            coeffs: system.polynomial().coeffs().to_vec(),
-            sng,
-            seed,
-            stream_length: stream_length as u64,
-            faults: faults.copied(),
-            job: ShardJob::ImageRows {
+            Work::Image { width, pixels } => ShardJob::ImageRows {
                 width: width as u64,
                 first_row: start as u64,
                 pixels: pixels[start * width..(start + len) * width].to_vec(),
             },
-        })
-        .collect();
-    let expected = plan.ranges().iter().map(|&(_, len)| len * width).collect();
-    Ok((requests, expected))
+        };
+        ShardRequest {
+            params: *self.system.params(),
+            coeffs: self.system.polynomial().coeffs().to_vec(),
+            sng: self.sng,
+            seed: self.seed,
+            stream_length: self.stream_length as u64,
+            faults: self.faults.copied(),
+            job,
+        }
+    }
+
+    /// The whole job as one wire request — what a
+    /// [`service::ServiceClient`] ships.
+    ///
+    /// # Errors
+    ///
+    /// [`ShardError::InvalidPlan`] when an image's pixels are not a
+    /// whole number of `width`-sized rows.
+    pub fn request(&self) -> Result<ShardRequest, ShardError> {
+        self.check()?;
+        Ok(self.slice(0, self.units().0))
+    }
+}
+
+/// The serving tier jobs run on — the one dispatch point over
+/// in-process, spawn-per-call, pooled and TCP-served evaluation. Every
+/// arm returns bit-identical runs (see the module-level determinism
+/// contract).
+pub enum Executor<'a> {
+    /// In this process, through the workers' own job evaluator.
+    InProcess(&'a BatchEvaluator),
+    /// A fresh pool spawned from the config for every job and dropped
+    /// after it: spawn + circuit build paid per job — the baseline a
+    /// persistent pool amortizes.
+    Spawn(&'a PoolConfig),
+    /// A persistent pool. A single job is planned across the live
+    /// workers; several jobs travel as one request each through one
+    /// pipelined [`WorkerPool::run_requests`] call — the many-distinct-
+    /// circuits profile the digest-keyed circuit cache was built for.
+    Pool(&'a mut WorkerPool),
+    /// A TCP service connection, one request per job.
+    Service(&'a mut ServiceClient),
+}
+
+impl Executor<'_> {
+    /// Runs every job and returns each job's runs, in job order.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::Shard`] for a ragged image job (before any work) and
+    /// for spawn, pool and service failures; [`ExecError::Circuit`] for
+    /// in-process evaluation failures (an invalid fault spec included —
+    /// the other tiers report that one as a remote error).
+    pub fn run(&mut self, jobs: &[Job<'_>]) -> Result<Vec<Vec<OpticalRun>>, ExecError> {
+        for job in jobs {
+            job.check()?;
+        }
+        match self {
+            Executor::InProcess(evaluator) => jobs
+                .iter()
+                .map(|job| Ok(evaluate_job(evaluator, job, 0)?))
+                .collect(),
+            Executor::Spawn(config) => jobs
+                .iter()
+                .map(|job| planned(&mut config.clone().spawn()?, job))
+                .collect(),
+            Executor::Pool(pool) => match jobs {
+                [job] => Ok(vec![planned(pool, job)?]),
+                _ => {
+                    let requests = jobs
+                        .iter()
+                        .map(Job::request)
+                        .collect::<Result<Vec<_>, _>>()?;
+                    let expected: Vec<usize> =
+                        requests.iter().map(|r| r.job.expected_runs()).collect();
+                    Ok(pool.run_requests(&requests, &expected)?)
+                }
+            },
+            Executor::Service(client) => jobs
+                .iter()
+                .map(|job| Ok(client.request(&job.request()?)?))
+                .collect(),
+        }
+    }
+}
+
+/// Runs one job on a pool, its units planned across the live workers
+/// and the shard outputs merged in plan order.
+fn planned(pool: &mut WorkerPool, job: &Job<'_>) -> Result<Vec<OpticalRun>, ExecError> {
+    let (units, runs_per_unit) = job.units();
+    let plan = ShardPlan::new(units, pool.workers());
+    let (requests, expected): (Vec<ShardRequest>, Vec<usize>) = plan
+        .ranges()
+        .iter()
+        .map(|&(start, len)| (job.slice(start, len), len * runs_per_unit))
+        .unzip();
+    Ok(pool
+        .run_requests(&requests, &expected)?
+        .into_iter()
+        .flatten()
+        .collect())
+}
+
+/// Errors of an [`Executor`] run.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ExecError {
+    /// A system failed to build, or a job failed to evaluate in this
+    /// process.
+    Circuit(crate::CircuitError),
+    /// A spawned, pooled or served evaluation failed, or the job was
+    /// unplannable.
+    Shard(ShardError),
+}
+
+impl std::fmt::Display for ExecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ExecError::Circuit(e) => write!(f, "circuit error: {e}"),
+            ExecError::Shard(e) => write!(f, "shard error: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for ExecError {}
+
+impl From<crate::CircuitError> for ExecError {
+    fn from(e: crate::CircuitError) -> Self {
+        ExecError::Circuit(e)
+    }
+}
+
+impl From<ShardError> for ExecError {
+    fn from(e: ShardError) -> Self {
+        ExecError::Shard(e)
+    }
 }
 
 #[cfg(test)]
@@ -1995,7 +2170,7 @@ mod tests {
             BernsteinPoly::new(vec![0.25, 0.625, 0.75]).unwrap(),
         )
         .unwrap();
-        let msg = evaluate_job(
+        let msg = evaluate_shard_job(
             &sys,
             SngKind::Xoshiro,
             1,

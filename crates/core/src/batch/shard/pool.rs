@@ -52,12 +52,10 @@
 //! depends only on `(seed, global index)`.
 
 use super::{
-    batch_requests, circuit_digest, circuit_key, decode_response_v2, encode_request_v2,
-    image_requests, read_frame, write_frame, ShardError, ShardRequest, ShardResponseV2, SngKind,
-    CIRCUIT_CACHE_CAPACITY,
+    circuit_digest, circuit_key, decode_response_v2, encode_request_v2, read_frame, write_frame,
+    ShardError, ShardRequest, ShardResponseV2, CIRCUIT_CACHE_CAPACITY,
 };
-use crate::fault::FaultSpec;
-use crate::system::{OpticalRun, OpticalScSystem};
+use crate::system::OpticalRun;
 use std::collections::VecDeque;
 use std::io::{BufReader, Write};
 use std::path::{Path, PathBuf};
@@ -404,10 +402,10 @@ struct InFlight {
 /// [`ShardRequest`]s over the v2 wire protocol.
 ///
 /// Construct with [`PoolConfig::spawn`]; drive with
-/// [`WorkerPool::evaluate_many`] / [`WorkerPool::image_rows`] (each
-/// call planned across the live workers by a [`super::ShardPlan`]) or
-/// [`WorkerPool::run_requests`] for pre-built request sets. Dropping
-/// the pool kills and reaps every worker.
+/// [`super::Executor::Pool`] (a single job is planned across the live
+/// workers by a [`super::ShardPlan`]) or [`WorkerPool::run_requests`]
+/// for pre-built request sets. Dropping the pool kills and reaps every
+/// worker.
 #[derive(Debug)]
 pub struct WorkerPool {
     config: PoolConfig,
@@ -466,76 +464,6 @@ impl WorkerPool {
         for slot in &mut self.slots {
             note_digest(&mut slot.known, digest, key.clone(), slot.cache_capacity);
         }
-    }
-
-    /// Evaluates every `x` in `xs`, item `i` on generators derived
-    /// from `mix_seed(seed, i)` and under the optional fault process
-    /// `faults` (rebased by each item's global index), planned across
-    /// the live workers and merged in index order. Byte-identical to
-    /// the single-process evaluation for every worker count.
-    ///
-    /// # Errors
-    ///
-    /// [`ShardError`] when a request cannot be completed (after
-    /// respawn + retries) or a worker reports an evaluation failure (an
-    /// invalid fault spec included).
-    pub fn evaluate_many(
-        &mut self,
-        system: &OpticalScSystem,
-        sng: SngKind,
-        xs: &[f64],
-        stream_length: usize,
-        seed: u64,
-        faults: Option<&FaultSpec>,
-    ) -> Result<Vec<OpticalRun>, ShardError> {
-        let (requests, expected) = batch_requests(
-            system,
-            sng,
-            xs,
-            stream_length,
-            seed,
-            faults,
-            self.slots.len(),
-        );
-        let merged = self.run_requests(&requests, &expected)?;
-        Ok(merged.into_iter().flatten().collect())
-    }
-
-    /// Evaluates an image's pixels through the row+lane pipeline
-    /// derivation (`mix_seed(mix_seed(seed, row), column)` per pixel,
-    /// `faults` rebased by row then column), its rows planned across
-    /// the live workers. Returns per-pixel runs in row-major order,
-    /// byte-identical to the in-process row+lane pipeline for every
-    /// worker count.
-    ///
-    /// # Errors
-    ///
-    /// [`ShardError::InvalidPlan`] when `pixels` is not a whole number
-    /// of `width`-sized rows; otherwise as
-    /// [`WorkerPool::evaluate_many`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn image_rows(
-        &mut self,
-        system: &OpticalScSystem,
-        sng: SngKind,
-        width: usize,
-        pixels: &[f64],
-        stream_length: usize,
-        seed: u64,
-        faults: Option<&FaultSpec>,
-    ) -> Result<Vec<OpticalRun>, ShardError> {
-        let (requests, expected) = image_requests(
-            system,
-            sng,
-            width,
-            pixels,
-            stream_length,
-            seed,
-            faults,
-            self.slots.len(),
-        )?;
-        let merged = self.run_requests(&requests, &expected)?;
-        Ok(merged.into_iter().flatten().collect())
     }
 
     /// Runs a set of requests across the pool — request `i` is expected

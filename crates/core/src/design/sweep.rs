@@ -11,7 +11,7 @@
 //! [`super::mzi_first::MziFirstDesign`], joins per-candidate energy
 //! ([`crate::energy::EnergyModel::breakdown_for`]) and a first-order
 //! area proxy ([`area_proxy_mm2`]), measures each candidate's empirical
-//! accuracy through any serving tier ([`SweepMode`]), and extracts the
+//! accuracy through any serving tier ([`Executor`]), and extracts the
 //! non-dominated accuracy × energy × area set ([`pareto_frontier`])
 //! with deterministic tie-breaking.
 //!
@@ -21,46 +21,45 @@
 //! [`crate::batch::mix_seed`] contract. Candidate `i` (its position in
 //! the fixed [`SweepAxes::enumerate`] order, counting infeasible
 //! candidates) seeds its evaluation with `mix_seed(sweep_seed, i)`, and
-//! every serving tier evaluates the candidate's probe batch through the
-//! proven-equivalent entrypoints — the same
-//! [`crate::batch::shard::evaluate_batch_in_process`] dispatch point
-//! the workers run, a [`WorkerPool`] spawned per candidate, a
-//! [`WorkerPool::run_requests`] stream (one [`ShardRequest::batch`] per
-//! candidate, `first_index` 0), or a TCP [`ServiceClient`]. Design
-//! solving, the energy/area join, Pareto extraction and the canonical
-//! CSV ([`frontier_csv`]) are all host-side scalar arithmetic over
-//! those bit-exact results, so the frontier bytes are identical across
+//! every candidate is one batch [`Job`] of probe inputs, run through the
+//! one [`Executor`] call: in this process on the workers' own job
+//! evaluator, a pool spawned per candidate, one pipelined
+//! [`crate::batch::shard::pool::WorkerPool::run_requests`] stream (one
+//! inline request per candidate), or a TCP
+//! [`crate::batch::shard::service::ServiceClient`]. Design solving, the
+//! energy/area join, Pareto extraction and the canonical CSV
+//! ([`frontier_csv`]) are all host-side scalar arithmetic over those
+//! bit-exact results, so the frontier bytes are identical across
 //! serving modes, worker counts, SIMD dispatch tiers and thread counts.
 //!
 //! ```no_run
+//! use osc_core::batch::shard::Executor;
 //! use osc_core::batch::BatchEvaluator;
-//! use osc_core::design::sweep::{frontier_csv, pareto_frontier, DesignSweep, SweepAxes, SweepMode};
+//! use osc_core::design::sweep::{frontier_csv, pareto_frontier, DesignSweep, SweepAxes};
 //!
 //! let sweep = DesignSweep::new(SweepAxes::fig6(4));
 //! let evaluator = BatchEvaluator::new();
-//! let points = sweep.evaluate(SweepMode::InProcess(&evaluator)).unwrap();
+//! let points = sweep.evaluate(Executor::InProcess(&evaluator)).unwrap();
 //! let csv = frontier_csv(&pareto_frontier(&points));
 //! # drop(csv);
 //! ```
 //!
 //! A pool-served sweep is the stress profile the digest-keyed worker
 //! circuit cache was built for: ≥ 1000 distinct circuits stream through
-//! [`WorkerPool::run_requests`] as one pipelined call, so size the
-//! cache to the working set via `OSC_CIRCUIT_CACHE` or
+//! one pipelined `run_requests` call, so size the cache to the working
+//! set via `OSC_CIRCUIT_CACHE` or
 //! [`crate::batch::shard::pool::PoolConfig::with_circuit_cache_capacity`].
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::backend::BackendKind;
-use crate::batch::shard::pool::{PoolConfig, WorkerPool};
-use crate::batch::shard::service::ServiceClient;
-use crate::batch::shard::{evaluate_batch_in_process, ShardError, ShardRequest, SngKind};
-use crate::batch::{mix_seed, BatchEvaluator};
+use crate::batch::mix_seed;
+use crate::batch::shard::{ExecError, Executor, Job, SngKind};
 use crate::design::mzi_first::{MziFirstDesign, MziFirstInputs};
 use crate::energy::{EnergyAssumptions, EnergyModel};
 use crate::params::CircuitParams;
-use crate::system::{OpticalRun, OpticalScSystem};
+use crate::system::OpticalScSystem;
 use crate::CircuitError;
 use osc_stochastic::bernstein::BernsteinPoly;
 use osc_units::{DbRatio, Milliwatts, Nanometers};
@@ -280,58 +279,13 @@ pub struct SweepPoint {
     pub mean_abs_error: f64,
 }
 
-/// The serving tier a sweep evaluates through. Every mode produces
-/// bit-identical [`SweepPoint`]s (see the module-level determinism
-/// contract).
-pub enum SweepMode<'a> {
-    /// In this process, through the worker dispatch point
-    /// ([`evaluate_batch_in_process`]).
-    InProcess(&'a BatchEvaluator),
-    /// Spawn-per-call subprocess sharding: a fresh pool spawned from
-    /// the config for every candidate, dropped after its one call.
-    Spawn(&'a PoolConfig),
-    /// A persistent worker pool; all candidates stream through one
-    /// pipelined [`WorkerPool::run_requests`] call — the many-distinct-
-    /// circuits profile the digest-keyed circuit cache was built for.
-    Pool(&'a mut WorkerPool),
-    /// A TCP service connection, one request per candidate.
-    Service(&'a mut ServiceClient),
-}
-
-/// Errors of a sweep evaluation.
-#[derive(Debug)]
-pub enum SweepError {
-    /// A candidate system failed to build or evaluate in-process.
-    Circuit(CircuitError),
-    /// A sharded/pooled/service evaluation failed.
-    Shard(ShardError),
-}
-
-impl std::fmt::Display for SweepError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SweepError::Circuit(e) => write!(f, "sweep circuit error: {e}"),
-            SweepError::Shard(e) => write!(f, "sweep shard error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for SweepError {}
-
-impl From<CircuitError> for SweepError {
-    fn from(e: CircuitError) -> Self {
-        SweepError::Circuit(e)
-    }
-}
-
-impl From<ShardError> for SweepError {
-    fn from(e: ShardError) -> Self {
-        SweepError::Shard(e)
-    }
-}
+/// The serving tier a sweep evaluates through. The tiers have one type,
+/// [`Executor`]; the sweep's historical name stays as an alias because
+/// the benchmark under `perfbench/` names `SweepMode::{InProcess, Pool}`.
+pub use crate::batch::shard::Executor as SweepMode;
 
 /// A fully enumerated and solved design sweep, ready to evaluate
-/// through any [`SweepMode`].
+/// through any [`Executor`].
 #[derive(Debug, Clone)]
 pub struct DesignSweep {
     axes: SweepAxes,
@@ -436,73 +390,29 @@ impl DesignSweep {
     /// # Errors
     ///
     /// Propagates the first failed evaluation.
-    pub fn evaluate(&self, mode: SweepMode<'_>) -> Result<Vec<SweepPoint>, SweepError> {
+    pub fn evaluate(&self, mut executor: Executor<'_>) -> Result<Vec<SweepPoint>, ExecError> {
         let xs = probe_inputs(self.axes.probes);
-        let runs_per_design: Vec<Vec<OpticalRun>> = match mode {
-            SweepMode::InProcess(evaluator) => {
-                let mut all = Vec::with_capacity(self.designs.len());
-                for d in &self.designs {
-                    let system = self.system(d)?;
-                    all.push(evaluate_batch_in_process(
-                        evaluator,
-                        &system,
-                        d.candidate.sng,
-                        &xs,
-                        d.candidate.stream_length,
-                        d.candidate.seed_for(self.axes.seed),
-                    )?);
-                }
-                all
-            }
-            SweepMode::Spawn(config) => {
-                let mut all = Vec::with_capacity(self.designs.len());
-                for d in &self.designs {
-                    let system = self.system(d)?;
-                    all.push(config.clone().spawn()?.evaluate_many(
-                        &system,
-                        d.candidate.sng,
-                        &xs,
-                        d.candidate.stream_length,
-                        d.candidate.seed_for(self.axes.seed),
-                        None,
-                    )?);
-                }
-                all
-            }
-            SweepMode::Pool(pool) => {
-                let mut requests = Vec::with_capacity(self.designs.len());
-                for d in &self.designs {
-                    let system = self.system(d)?;
-                    requests.push(ShardRequest::batch(
-                        &system,
-                        d.candidate.sng,
-                        0,
-                        &xs,
-                        d.candidate.stream_length,
-                        d.candidate.seed_for(self.axes.seed),
-                        None,
-                    ));
-                }
-                let expected = vec![xs.len(); requests.len()];
-                pool.run_requests(&requests, &expected)?
-            }
-            SweepMode::Service(client) => {
-                let mut all = Vec::with_capacity(self.designs.len());
-                for d in &self.designs {
-                    let system = self.system(d)?;
-                    all.push(client.request(&ShardRequest::batch(
-                        &system,
-                        d.candidate.sng,
-                        0,
-                        &xs,
-                        d.candidate.stream_length,
-                        d.candidate.seed_for(self.axes.seed),
-                        None,
-                    ))?);
-                }
-                all
-            }
-        };
+        let systems = self
+            .designs
+            .iter()
+            .map(|d| self.system(d))
+            .collect::<Result<Vec<_>, _>>()?;
+        let jobs: Vec<Job<'_>> = self
+            .designs
+            .iter()
+            .zip(&systems)
+            .map(|(d, system)| {
+                Job::batch(
+                    system,
+                    d.candidate.sng,
+                    &xs,
+                    d.candidate.stream_length,
+                    d.candidate.seed_for(self.axes.seed),
+                    None,
+                )
+            })
+            .collect();
+        let runs_per_design = executor.run(&jobs)?;
         Ok(self
             .designs
             .iter()
@@ -591,6 +501,7 @@ pub fn frontier_csv(points: &[SweepPoint]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::BatchEvaluator;
 
     fn point(index: u64, err: f64, energy: f64, area: f64) -> SweepPoint {
         SweepPoint {
@@ -697,10 +608,10 @@ mod tests {
             ..SweepAxes::fig6(2)
         });
         let one = sweep
-            .evaluate(SweepMode::InProcess(&BatchEvaluator::with_threads(1)))
+            .evaluate(Executor::InProcess(&BatchEvaluator::with_threads(1)))
             .unwrap();
         let four = sweep
-            .evaluate(SweepMode::InProcess(&BatchEvaluator::with_threads(4)))
+            .evaluate(Executor::InProcess(&BatchEvaluator::with_threads(4)))
             .unwrap();
         let csv_one = frontier_csv(&pareto_frontier(&one));
         let csv_four = frontier_csv(&pareto_frontier(&four));

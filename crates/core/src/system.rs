@@ -50,8 +50,6 @@
 //! - [`OpticalScSystem::evaluate_bitwise`] — per-bit twin of `evaluate`,
 //!   draw-for-draw identical (equivalence tests pin exact equality).
 //!   The readable specification of the kernel; use it in tests.
-//! - [`OpticalScSystem::decide_streams`] — same decision rule over
-//!   pre-generated streams when callers need the output bits.
 //! - [`OpticalScSystem::evaluate_analog`] — the physical-sampling
 //!   reference: one explicit Gaussian power observation per cycle
 //!   (batched through [`Xoshiro256PlusPlus::fill_gaussian`]), thresholded
@@ -1172,51 +1170,6 @@ impl OpticalScSystem {
         }
     }
 
-    /// Decodes a pre-generated stream pair exactly like
-    /// [`OpticalScSystem::evaluate`] would, returning the decided output
-    /// stream — useful when callers need the bits, not just the counts.
-    ///
-    /// # Errors
-    ///
-    /// [`CircuitError::InvalidStructure`] on stream arity/length mismatch.
-    pub fn decide_streams(
-        &self,
-        data: &[BitStream],
-        coeffs: &[BitStream],
-        rng: &mut Xoshiro256PlusPlus,
-    ) -> Result<BitStream, CircuitError> {
-        let n = self.params.order;
-        if data.len() != n || coeffs.len() != n + 1 {
-            return Err(CircuitError::InvalidStructure(format!(
-                "expected {n} data and {} coefficient streams, got {} and {}",
-                n + 1,
-                data.len(),
-                coeffs.len()
-            )));
-        }
-        let len = coeffs[0].len();
-        if data.iter().chain(coeffs).any(|s| s.len() != len) {
-            return Err(CircuitError::InvalidStructure(
-                "stream length mismatch".into(),
-            ));
-        }
-        // Not a hot path: reuse the per-cycle decision rule directly
-        // rather than mirroring the word kernel's transpose.
-        Ok(BitStream::from_word_fn(len, |chunk, nbits| {
-            let mut word = 0u64;
-            for b in 0..nbits {
-                let t = chunk * 64 + b;
-                let count: usize = data.iter().filter(|s| s.get(t)).count();
-                let mut zw = 0usize;
-                for (j, s) in coeffs.iter().enumerate() {
-                    zw |= usize::from(s.get(t)) << j;
-                }
-                word |= u64::from(self.decide_cycle(count, zw, rng)) << b;
-            }
-            word
-        }))
-    }
-
     /// Sweeps the polynomial over `[0, 1]` and returns
     /// `(x, estimate, exact)` triples — the workhorse of the examples.
     ///
@@ -1365,21 +1318,6 @@ mod tests {
             folded.observed_ber,
             analog.observed_ber
         );
-    }
-
-    #[test]
-    fn decide_streams_counts_match_evaluate() {
-        let s = system();
-        let mut sng = XoshiroSng::new(3);
-        let (data, coeffs) = s.resc.generate_streams(0.5, 1000, &mut sng).unwrap();
-        let mut rng_a = Xoshiro256PlusPlus::new(4);
-        let out = s.decide_streams(&data, &coeffs, &mut rng_a).unwrap();
-        // Same decision rule as evaluate: re-run with the same rng seed.
-        let mut sng_b = XoshiroSng::new(3);
-        let mut rng_b = Xoshiro256PlusPlus::new(4);
-        let run = s.evaluate(0.5, 1000, &mut sng_b, &mut rng_b).unwrap();
-        assert_eq!(out.count_ones() as f64 / 1000.0, run.estimate);
-        assert!(s.decide_streams(&data[..1], &coeffs, &mut rng_a).is_err());
     }
 
     #[test]

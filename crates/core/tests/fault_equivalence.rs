@@ -62,31 +62,34 @@ fn batch_runs(
 ) -> Vec<OpticalRun> {
     let ev = BatchEvaluator::with_threads(2);
     match kind {
-        SngKind::Lfsr => ev.evaluate_many_faulted(
+        SngKind::Lfsr => ev.evaluate_range_faulted(
             system,
             xs,
             stream_length,
             |s| LfsrSng::new(16, s as u32).unwrap(),
             seed,
+            0,
             faults,
         ),
-        SngKind::Counter => ev.evaluate_many_faulted(
+        SngKind::Counter => ev.evaluate_range_faulted(
             system,
             xs,
             stream_length,
             |_| CounterSng::new(),
             seed,
+            0,
             faults,
         ),
         SngKind::Xoshiro => {
-            ev.evaluate_many_faulted(system, xs, stream_length, XoshiroSng::new, seed, faults)
+            ev.evaluate_range_faulted(system, xs, stream_length, XoshiroSng::new, seed, 0, faults)
         }
-        SngKind::Chaotic => ev.evaluate_many_faulted(
+        SngKind::Chaotic => ev.evaluate_range_faulted(
             system,
             xs,
             stream_length,
             ChaoticLaserSng::seeded,
             seed,
+            0,
             faults,
         ),
     }
@@ -237,7 +240,7 @@ fn batch_splits_rebase_faults_by_global_index() {
     let xs: Vec<f64> = (0..11).map(|i| i as f64 / 10.0).collect();
     let ev = BatchEvaluator::with_threads(2);
     let whole = ev
-        .evaluate_many_faulted(&system, &xs, 256, XoshiroSng::new, 7, Some(&spec))
+        .evaluate_range_faulted(&system, &xs, 256, XoshiroSng::new, 7, 0, Some(&spec))
         .unwrap();
     for split in [1usize, 4, 8, 10] {
         let mut merged = ev

@@ -12,7 +12,7 @@
 #![cfg(unix)]
 
 use osc_core::batch::shard::pool::PoolConfig;
-use osc_core::batch::shard::{ShardError, SngKind};
+use osc_core::batch::shard::{ExecError, Executor, Job, ShardError, SngKind};
 use osc_core::params::CircuitParams;
 use osc_core::system::OpticalScSystem;
 use osc_stochastic::bernstein::BernsteinPoly;
@@ -27,6 +27,15 @@ fn fig5_system() -> OpticalScSystem {
         BernsteinPoly::new(vec![0.25, 0.625, 0.75]).unwrap(),
     )
     .unwrap()
+}
+
+/// One fault-free Xoshiro batch job on `executor`, its shard error.
+fn shard_error(mut executor: Executor<'_>, system: &OpticalScSystem, xs: &[f64]) -> ShardError {
+    let job = Job::batch(system, SngKind::Xoshiro, xs, 64, 1, None);
+    match executor.run(&[job]) {
+        Err(ExecError::Shard(e)) => e,
+        other => panic!("expected a shard error, got {other:?}"),
+    }
 }
 
 /// Writes an executable stub that consumes stdin forever and never
@@ -68,9 +77,7 @@ fn stalled_worker_times_out_as_a_value_within_the_deadline() {
         .spawn()
         .unwrap();
     let started = Instant::now();
-    let err = pool
-        .evaluate_many(&system, SngKind::Xoshiro, &[0.5], 64, 1, None)
-        .unwrap_err();
+    let err = shard_error(Executor::Pool(&mut pool), &system, &[0.5]);
     let elapsed = started.elapsed();
     assert!(
         matches!(err, ShardError::Timeout { .. }),
@@ -86,9 +93,7 @@ fn stalled_worker_times_out_as_a_value_within_the_deadline() {
     );
     // The pool is still usable as a value — the next call fails the
     // same way instead of panicking or hanging forever.
-    let again = pool
-        .evaluate_many(&system, SngKind::Xoshiro, &[0.5], 64, 1, None)
-        .unwrap_err();
+    let again = shard_error(Executor::Pool(&mut pool), &system, &[0.5]);
     assert!(matches!(again, ShardError::Timeout { .. }), "{again}");
     drop(pool);
     let _ = std::fs::remove_file(&stub);
@@ -131,7 +136,8 @@ fn panicking_caller_leaves_no_zombies() {
         let system = fig5_system();
         // The stalled worker times out; the caller treats that as fatal
         // and panics with the pool still holding live children.
-        pool.evaluate_many(&system, SngKind::Xoshiro, &[0.5], 64, 1, None)
+        Executor::Pool(&mut pool)
+            .run(&[Job::batch(&system, SngKind::Xoshiro, &[0.5], 64, 1, None)])
             .unwrap();
         unreachable!("the stalled pool cannot produce runs");
     }));
@@ -155,11 +161,7 @@ fn coordinator_error_paths_leave_no_zombies() {
         .with_retries(0)
         .with_read_timeout(Duration::from_millis(200));
     let before: Vec<u32> = our_children();
-    let err = config
-        .spawn()
-        .unwrap()
-        .evaluate_many(&system, SngKind::Xoshiro, &[0.25, 0.75], 64, 3, None)
-        .unwrap_err();
+    let err = shard_error(Executor::Spawn(&config), &system, &[0.25, 0.75]);
     assert!(
         matches!(err, ShardError::Timeout { .. } | ShardError::Worker { .. }),
         "{err}"

@@ -43,6 +43,10 @@
 //! assert!((result.estimate - result.exact).abs() < 0.05);
 //! ```
 
+// Every unsafe operation sits in its own `unsafe` block with a
+// `SAFETY` comment, including inside the `#[target_feature]` kernels.
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+
 pub mod analysis;
 pub mod bernstein;
 pub mod bitstream;

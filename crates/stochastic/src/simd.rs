@@ -262,13 +262,15 @@ pub fn popcount_lanes_accumulate_with(tier: SimdTier, words: &[u64], acc: &mut [
     #[cfg(target_arch = "x86_64")]
     {
         if tier == SimdTier::Avx512 && lanes.is_multiple_of(8) {
-            // SAFETY: tier is clamped to detected_tier(), so avx512f +
-            // avx512vpopcntdq are present.
+            // SAFETY: `tier` is clamped to `detected_tier()`, whose Avx512
+            // arm required `is_x86_feature_detected!` of avx512f and
+            // avx512vpopcntdq — the features this kernel enables.
             unsafe { popcount_lanes_avx512(words, lanes, acc) };
             return;
         }
         if tier >= SimdTier::Avx2 && lanes.is_multiple_of(4) {
-            // SAFETY: tier >= Avx2 after clamping means avx2 is present.
+            // SAFETY: `tier` is clamped to `detected_tier()`, which only
+            // reaches Avx2 after `is_x86_feature_detected!("avx2")`.
             unsafe { popcount_lanes_avx2(words, lanes, acc) };
             return;
         }
@@ -287,33 +289,71 @@ fn popcount_lanes_scalar(words: &[u64], lanes: usize, acc: &mut [u64]) {
     }
 }
 
+/// Loads four words into one YMM register.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn load4(src: &[u64; 4]) -> std::arch::x86_64::__m256i {
+    // SAFETY: `src` is 32 readable bytes and the load is unaligned; avx
+    // is enabled (implied by avx2) on this function.
+    unsafe { std::arch::x86_64::_mm256_loadu_si256(src.as_ptr().cast()) }
+}
+
+/// Stores one YMM register as four words.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn store4(v: std::arch::x86_64::__m256i) -> [u64; 4] {
+    let mut out = [0u64; 4];
+    // SAFETY: `out` is 32 writable bytes and the store is unaligned; avx
+    // is enabled (implied by avx2) on this function.
+    unsafe { std::arch::x86_64::_mm256_storeu_si256(out.as_mut_ptr().cast(), v) };
+    out
+}
+
+/// Loads eight words into one ZMM register.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn load8(src: &[u64; 8]) -> std::arch::x86_64::__m512i {
+    // SAFETY: `src` is 64 readable bytes and the load is unaligned;
+    // avx512f is enabled on this function.
+    unsafe { std::arch::x86_64::_mm512_loadu_si512(src.as_ptr().cast()) }
+}
+
+/// Stores one ZMM register as eight words.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn store8(v: std::arch::x86_64::__m512i) -> [u64; 8] {
+    let mut out = [0u64; 8];
+    // SAFETY: `out` is 64 writable bytes and the store is unaligned;
+    // avx512f is enabled on this function.
+    unsafe { std::arch::x86_64::_mm512_storeu_si512(out.as_mut_ptr().cast(), v) };
+    out
+}
+
 /// AVX2: nibble-LUT popcount (`vpshufb`) + `vpsadbw` horizontal fold,
 /// one 256-bit register per 4 adjacent lanes, per-lane accumulators kept
 /// vertical across all blocks.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn popcount_lanes_avx2(words: &[u64], lanes: usize, acc: &mut [u64]) {
+fn popcount_lanes_avx2(words: &[u64], lanes: usize, acc: &mut [u64]) {
     use std::arch::x86_64::*;
-    let nblocks = words.len() / lanes;
     let lut = _mm256_setr_epi8(
         0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3,
         3, 4,
     );
     let low_mask = _mm256_set1_epi8(0x0F);
     let zero = _mm256_setzero_si256();
-    for group in 0..lanes / 4 {
+    // Lanes are a multiple of 4: each block is `groups` quads of words.
+    let groups = lanes / 4;
+    for group in 0..groups {
         let mut vacc = zero;
-        for w in 0..nblocks {
-            let ptr = words.as_ptr().add(w * lanes + group * 4) as *const __m256i;
-            let v = _mm256_loadu_si256(ptr);
+        for block in words.as_chunks::<4>().0.chunks_exact(groups) {
+            let v = load4(&block[group]);
             let lo = _mm256_and_si256(v, low_mask);
             let hi = _mm256_and_si256(_mm256_srli_epi16::<4>(v), low_mask);
             let nib = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo), _mm256_shuffle_epi8(lut, hi));
             vacc = _mm256_add_epi64(vacc, _mm256_sad_epu8(nib, zero));
         }
-        let mut out = [0u64; 4];
-        _mm256_storeu_si256(out.as_mut_ptr() as *mut __m256i, vacc);
-        for (a, o) in acc[group * 4..group * 4 + 4].iter_mut().zip(out) {
+        for (a, o) in acc[group * 4..group * 4 + 4].iter_mut().zip(store4(vacc)) {
             *a += o;
         }
     }
@@ -323,19 +363,17 @@ unsafe fn popcount_lanes_avx2(words: &[u64], lanes: usize, acc: &mut [u64]) {
 /// lanes.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-unsafe fn popcount_lanes_avx512(words: &[u64], lanes: usize, acc: &mut [u64]) {
+fn popcount_lanes_avx512(words: &[u64], lanes: usize, acc: &mut [u64]) {
     use std::arch::x86_64::*;
-    let nblocks = words.len() / lanes;
-    for group in 0..lanes / 8 {
+    // Lanes are a multiple of 8: each block is `groups` octs of words.
+    let groups = lanes / 8;
+    for group in 0..groups {
         let mut vacc = _mm512_setzero_si512();
-        for w in 0..nblocks {
-            let ptr = words.as_ptr().add(w * lanes + group * 8) as *const __m512i;
-            let v = _mm512_loadu_si512(ptr);
+        for block in words.as_chunks::<8>().0.chunks_exact(groups) {
+            let v = load8(&block[group]);
             vacc = _mm512_add_epi64(vacc, _mm512_popcnt_epi64(v));
         }
-        let mut out = [0u64; 8];
-        _mm512_storeu_si512(out.as_mut_ptr() as *mut __m512i, vacc);
-        for (a, o) in acc[group * 8..group * 8 + 8].iter_mut().zip(out) {
+        for (a, o) in acc[group * 8..group * 8 + 8].iter_mut().zip(store8(vacc)) {
             *a += o;
         }
     }
@@ -397,9 +435,10 @@ where
         block.copy_from_slice(&words[..L]);
         emit(&block, nbits);
     };
-    // SAFETY: xoshiro_vector_applicable checked bmi2 + the tier (which
-    // active_tier clamps to the detected hardware), so every feature the
-    // target_feature attributes name is present.
+    // SAFETY: `xoshiro_vector_applicable` checked
+    // `is_x86_feature_detected!("bmi2")` and an `active_tier()` of at
+    // least Avx2 (avx2 detected); `active_tier()` is clamped to
+    // `detected_tier()`, so the Avx512 arm also has avx512f detected.
     unsafe {
         if L == 8 && tier == SimdTier::Avx512 {
             xoshiro_chains8_avx512(states.as_mut_slice(), wide, always_mask, len, &mut adapter);
@@ -430,7 +469,7 @@ where
 /// draws at and above `nbits`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "bmi2")]
-unsafe fn transpose_masks(masks: &mut [u8; 64], lanes: usize, nbits: usize, words: &mut [u64; 8]) {
+fn transpose_masks(masks: &mut [u8; 64], lanes: usize, nbits: usize, words: &mut [u64; 8]) {
     use std::arch::x86_64::_pext_u64;
     if nbits < 64 {
         masks[nbits..].fill(0);
@@ -450,7 +489,7 @@ unsafe fn transpose_masks(masks: &mut [u8; 64], lanes: usize, nbits: usize, word
 /// `vprolq` rotates, `vpcmpuq` comparator k-masks.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,bmi2")]
-unsafe fn xoshiro_chains8_avx512(
+fn xoshiro_chains8_avx512(
     states: &mut [[u64; 4]],
     wide: &[u64],
     always_mask: u8,
@@ -459,17 +498,14 @@ unsafe fn xoshiro_chains8_avx512(
 ) {
     use std::arch::x86_64::*;
     debug_assert_eq!(states.len(), 8);
-    let load = |i: usize, states: &[[u64; 4]]| {
-        let tmp: [u64; 8] = std::array::from_fn(|l| states[l][i]);
-        _mm512_loadu_si512(tmp.as_ptr() as *const __m512i)
-    };
+    let word = |i: usize| -> [u64; 8] { std::array::from_fn(|l| states[l][i]) };
     let (mut s0, mut s1, mut s2, mut s3) = (
-        load(0, states),
-        load(1, states),
-        load(2, states),
-        load(3, states),
+        load8(&word(0)),
+        load8(&word(1)),
+        load8(&word(2)),
+        load8(&word(3)),
     );
-    let widev = _mm512_loadu_si512(wide.as_ptr() as *const __m512i);
+    let widev = load8(wide.first_chunk().expect("8 lane thresholds"));
     let mut masks = [0u8; 64];
     let mut words = [0u64; 8];
     let mut remaining = len;
@@ -494,12 +530,7 @@ unsafe fn xoshiro_chains8_avx512(
         emit(&words, nbits);
         remaining -= nbits;
     }
-    let store = |v: __m512i| {
-        let mut tmp = [0u64; 8];
-        _mm512_storeu_si512(tmp.as_mut_ptr() as *mut __m512i, v);
-        tmp
-    };
-    let (o0, o1, o2, o3) = (store(s0), store(s1), store(s2), store(s3));
+    let (o0, o1, o2, o3) = (store8(s0), store8(s1), store8(s2), store8(s3));
     for (l, st) in states.iter_mut().enumerate() {
         *st = [o0[l], o1[l], o2[l], o3[l]];
     }
@@ -510,7 +541,7 @@ unsafe fn xoshiro_chains8_avx512(
 /// comparator is the sign-bias `vpcmpgtq` trick + `vmovmskpd`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,bmi2")]
-unsafe fn xoshiro_chains_avx2(
+fn xoshiro_chains_avx2(
     states: &mut [[u64; 4]],
     wide: &[u64],
     always_mask: u8,
@@ -521,10 +552,7 @@ unsafe fn xoshiro_chains_avx2(
     let lanes = states.len();
     debug_assert!(lanes == 4 || lanes == 8);
     let groups = lanes / 4;
-    let load = |i: usize, g: usize, states: &[[u64; 4]]| {
-        let tmp: [u64; 4] = std::array::from_fn(|l| states[g * 4 + l][i]);
-        _mm256_loadu_si256(tmp.as_ptr() as *const __m256i)
-    };
+    let word = |i: usize, g: usize| -> [u64; 4] { std::array::from_fn(|l| states[g * 4 + l][i]) };
     let mut s0 = [_mm256_setzero_si256(); 2];
     let mut s1 = [_mm256_setzero_si256(); 2];
     let mut s2 = [_mm256_setzero_si256(); 2];
@@ -532,14 +560,11 @@ unsafe fn xoshiro_chains_avx2(
     let mut widev = [_mm256_setzero_si256(); 2];
     let bias = _mm256_set1_epi64x(i64::MIN);
     for g in 0..groups {
-        s0[g] = load(0, g, states);
-        s1[g] = load(1, g, states);
-        s2[g] = load(2, g, states);
-        s3[g] = load(3, g, states);
-        widev[g] = _mm256_xor_si256(
-            _mm256_loadu_si256(wide[g * 4..].as_ptr() as *const __m256i),
-            bias,
-        );
+        s0[g] = load4(&word(0, g));
+        s1[g] = load4(&word(1, g));
+        s2[g] = load4(&word(2, g));
+        s3[g] = load4(&word(3, g));
+        widev[g] = _mm256_xor_si256(load4(&wide.as_chunks::<4>().0[g]), bias);
     }
     let mut masks = [0u8; 64];
     let mut words = [0u64; 8];
@@ -574,12 +599,7 @@ unsafe fn xoshiro_chains_avx2(
         remaining -= nbits;
     }
     for g in 0..groups {
-        let store = |v: __m256i| {
-            let mut tmp = [0u64; 4];
-            _mm256_storeu_si256(tmp.as_mut_ptr() as *mut __m256i, v);
-            tmp
-        };
-        let (o0, o1, o2, o3) = (store(s0[g]), store(s1[g]), store(s2[g]), store(s3[g]));
+        let (o0, o1, o2, o3) = (store4(s0[g]), store4(s1[g]), store4(s2[g]), store4(s3[g]));
         for l in 0..4 {
             states[g * 4 + l] = [o0[l], o1[l], o2[l], o3[l]];
         }
@@ -641,9 +661,11 @@ where
         block.copy_from_slice(&words[..L]);
         emit(&block, nbits);
     };
-    // SAFETY: splitmix_vector_applicable checked bmi2 + the tier (which
-    // active_tier clamps to the detected hardware); the avx512 arm
-    // additionally checks avx512dq for vpmullq.
+    // SAFETY: `splitmix_vector_applicable` checked
+    // `is_x86_feature_detected!("bmi2")` and an `active_tier()` of at
+    // least Avx2 (avx2 detected); the Avx512 arm has avx512f detected via
+    // the clamped tier and checks `is_x86_feature_detected!("avx512dq")`
+    // itself.
     unsafe {
         if L == 8 && tier == SimdTier::Avx512 && is_x86_feature_detected!("avx512dq") {
             splitmix_chains8_avx512(states.as_mut_slice(), wide, always_mask, len, &mut adapter);
@@ -677,7 +699,7 @@ const SPLITMIX_MIX2: u64 = 0x94D0_49BB_1331_11EB;
 /// multiplies, `vpcmpuq` comparator k-masks.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq,bmi2")]
-unsafe fn splitmix_chains8_avx512(
+fn splitmix_chains8_avx512(
     states: &mut [u64],
     wide: &[u64],
     always_mask: u8,
@@ -686,8 +708,8 @@ unsafe fn splitmix_chains8_avx512(
 ) {
     use std::arch::x86_64::*;
     debug_assert_eq!(states.len(), 8);
-    let mut s = _mm512_loadu_si512(states.as_ptr() as *const __m512i);
-    let widev = _mm512_loadu_si512(wide.as_ptr() as *const __m512i);
+    let mut s = load8(states.first_chunk().expect("8 lane states"));
+    let widev = load8(wide.first_chunk().expect("8 lane thresholds"));
     let gamma = _mm512_set1_epi64(SPLITMIX_GAMMA as i64);
     let c1 = _mm512_set1_epi64(SPLITMIX_MIX1 as i64);
     let c2 = _mm512_set1_epi64(SPLITMIX_MIX2 as i64);
@@ -707,7 +729,7 @@ unsafe fn splitmix_chains8_avx512(
         emit(&words, nbits);
         remaining -= nbits;
     }
-    _mm512_storeu_si512(states.as_mut_ptr() as *mut __m512i, s);
+    states[..8].copy_from_slice(&store8(s));
 }
 
 /// AVX2 engine: 4 chains per YMM register group; the 64-bit mix
@@ -716,7 +738,7 @@ unsafe fn splitmix_chains8_avx512(
 /// sign-bias `vpcmpgtq` trick + `vmovmskpd`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,bmi2")]
-unsafe fn splitmix_chains_avx2(
+fn splitmix_chains_avx2(
     states: &mut [u64],
     wide: &[u64],
     always_mask: u8,
@@ -742,11 +764,8 @@ unsafe fn splitmix_chains_avx2(
     let mut s = [_mm256_setzero_si256(); 2];
     let mut widev = [_mm256_setzero_si256(); 2];
     for g in 0..groups {
-        s[g] = _mm256_loadu_si256(states[g * 4..].as_ptr() as *const __m256i);
-        widev[g] = _mm256_xor_si256(
-            _mm256_loadu_si256(wide[g * 4..].as_ptr() as *const __m256i),
-            bias,
-        );
+        s[g] = load4(&states.as_chunks::<4>().0[g]);
+        widev[g] = _mm256_xor_si256(load4(&wide.as_chunks::<4>().0[g]), bias);
     }
     let mut masks = [0u8; 64];
     let mut words = [0u64; 8];
@@ -771,7 +790,7 @@ unsafe fn splitmix_chains_avx2(
         remaining -= nbits;
     }
     for g in 0..groups {
-        _mm256_storeu_si256(states[g * 4..].as_mut_ptr() as *mut __m256i, s[g]);
+        states[g * 4..g * 4 + 4].copy_from_slice(&store4(s[g]));
     }
 }
 
@@ -828,8 +847,11 @@ where
         let nbits = remaining.min(64);
         // Fill revbuf with reverse_bits(n + 1 ..= n + 64); slots at and
         // above nbits are never read back (masked out below).
-        // SAFETY: each arm's features were detected above (tier is
-        // clamped to the hardware by active_tier).
+        // SAFETY: `counter_vector_applicable` required an `active_tier()`
+        // of at least Avx2, and `active_tier()` is clamped to
+        // `detected_tier()` (avx2 detected; Avx512 means avx512f
+        // detected); gfni and avx512bw come from the
+        // `is_x86_feature_detected!` calls above.
         unsafe {
             if tier == SimdTier::Avx512 && gfni && avx512bw {
                 reverse_indices_avx512(n, &mut revbuf);
@@ -886,7 +908,7 @@ const GFNI_BIT_REVERSE: i64 = 0x8040_2010_0804_0201u64 as i64;
 /// reverses the bytes of each quadword.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,gfni")]
-unsafe fn reverse_indices_avx512(n: u64, out: &mut [u64; 64]) {
+fn reverse_indices_avx512(n: u64, out: &mut [u64; 64]) {
     use std::arch::x86_64::*;
     let revmat = _mm512_set1_epi64(GFNI_BIT_REVERSE);
     let byte_swap = _mm512_broadcast_i32x4(_mm_set_epi8(
@@ -900,7 +922,7 @@ unsafe fn reverse_indices_avx512(n: u64, out: &mut [u64; 64]) {
     for c in 0..8 {
         let br = _mm512_gf2p8affine_epi64_epi8::<0>(idx, revmat);
         let r = _mm512_shuffle_epi8(br, byte_swap);
-        _mm512_storeu_si512(out[c * 8..].as_mut_ptr() as *mut __m512i, r);
+        out[c * 8..c * 8 + 8].copy_from_slice(&store8(r));
         idx = _mm512_add_epi64(idx, step);
     }
 }
@@ -909,7 +931,7 @@ unsafe fn reverse_indices_avx512(n: u64, out: &mut [u64; 64]) {
 /// counter values per YMM.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,gfni")]
-unsafe fn reverse_indices_avx2_gfni(n: u64, out: &mut [u64; 64]) {
+fn reverse_indices_avx2_gfni(n: u64, out: &mut [u64; 64]) {
     use std::arch::x86_64::*;
     let revmat = _mm256_set1_epi64x(GFNI_BIT_REVERSE);
     let byte_swap = _mm256_broadcastsi128_si256(_mm_set_epi8(
@@ -920,7 +942,7 @@ unsafe fn reverse_indices_avx2_gfni(n: u64, out: &mut [u64; 64]) {
     for c in 0..16 {
         let br = _mm256_gf2p8affine_epi64_epi8::<0>(idx, revmat);
         let r = _mm256_shuffle_epi8(br, byte_swap);
-        _mm256_storeu_si256(out[c * 4..].as_mut_ptr() as *mut __m256i, r);
+        out[c * 4..c * 4 + 4].copy_from_slice(&store4(r));
         idx = _mm256_add_epi64(idx, step);
     }
 }
@@ -930,13 +952,13 @@ unsafe fn reverse_indices_avx2_gfni(n: u64, out: &mut [u64; 64]) {
 /// that lane's word.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn counter_compare_words_avx512(revbuf: &[u64; 64], wide: &[u64], words: &mut [u64]) {
+fn counter_compare_words_avx512(revbuf: &[u64; 64], wide: &[u64], words: &mut [u64]) {
     use std::arch::x86_64::*;
     for (l, word) in words.iter_mut().enumerate() {
         let tv = _mm512_set1_epi64(wide[l] as i64);
         let mut w = 0u64;
         for c in 0..8 {
-            let v = _mm512_loadu_si512(revbuf[c * 8..].as_ptr() as *const __m512i);
+            let v = load8(&revbuf.as_chunks::<8>().0[c]);
             w |= (_mm512_cmplt_epu64_mask(v, tv) as u64) << (c * 8);
         }
         *word = w;
@@ -947,14 +969,14 @@ unsafe fn counter_compare_words_avx512(revbuf: &[u64; 64], wide: &[u64], words: 
 /// `vpcmpgtq` + `vmovmskpd`, 4 output bits per compare.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn counter_compare_words_avx2(revbuf: &[u64; 64], wide: &[u64], words: &mut [u64]) {
+fn counter_compare_words_avx2(revbuf: &[u64; 64], wide: &[u64], words: &mut [u64]) {
     use std::arch::x86_64::*;
     let bias = _mm256_set1_epi64x(i64::MIN);
     for (l, word) in words.iter_mut().enumerate() {
         let tv = _mm256_xor_si256(_mm256_set1_epi64x(wide[l] as i64), bias);
         let mut w = 0u64;
         for c in 0..16 {
-            let v = _mm256_loadu_si256(revbuf[c * 4..].as_ptr() as *const __m256i);
+            let v = load4(&revbuf.as_chunks::<4>().0[c]);
             let lt = _mm256_cmpgt_epi64(tv, _mm256_xor_si256(v, bias));
             w |= (_mm256_movemask_pd(_mm256_castsi256_pd(lt)) as u64) << (c * 4);
         }
@@ -979,8 +1001,9 @@ pub fn assemble_indices16(src: &[u64], idxs: &mut [u16; 64]) -> bool {
             && active_tier() == SimdTier::Avx512
             && is_x86_feature_detected!("avx512bw")
         {
-            // SAFETY: avx512bw implies avx512f; both just detected (the
-            // tier is clamped to hardware).
+            // SAFETY: `active_tier()` is clamped to `detected_tier()`, so
+            // Avx512 means avx512f was detected; avx512bw is checked by
+            // `is_x86_feature_detected!` just above.
             unsafe { assemble_indices16_avx512bw(src, idxs) };
             return true;
         }
@@ -1003,7 +1026,7 @@ pub fn assemble_indices16_scalar(src: &[u64], idxs: &mut [u16; 64]) {
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw")]
-unsafe fn assemble_indices16_avx512bw(src: &[u64], idxs: &mut [u16; 64]) {
+fn assemble_indices16_avx512bw(src: &[u64], idxs: &mut [u16; 64]) {
     use std::arch::x86_64::*;
     let mut lo = _mm512_setzero_si512();
     let mut hi = _mm512_setzero_si512();
@@ -1015,8 +1038,13 @@ unsafe fn assemble_indices16_avx512bw(src: &[u64], idxs: &mut [u16; 64]) {
         );
         hi = _mm512_or_si512(hi, _mm512_maskz_mov_epi16((w >> 32) as __mmask32, bit));
     }
-    _mm512_storeu_si512(idxs.as_mut_ptr() as *mut __m512i, lo);
-    _mm512_storeu_si512(idxs.as_mut_ptr().add(32) as *mut __m512i, hi);
+    let (lo_half, hi_half) = idxs.split_at_mut(32);
+    // SAFETY: each half is 32 `u16`s — exactly the 64 writable bytes one
+    // unaligned 512-bit store covers; avx512f is enabled on this function.
+    unsafe {
+        _mm512_storeu_si512(lo_half.as_mut_ptr().cast(), lo);
+        _mm512_storeu_si512(hi_half.as_mut_ptr().cast(), hi);
+    }
 }
 
 #[cfg(test)]
